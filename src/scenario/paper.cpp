@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <set>
 #include <string_view>
 #include <tuple>
 #include <utility>
 
-#include "cluster/feature.hpp"
 #include "malware/binary.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "pe/builder.hpp"
+#include "scenario/stream.hpp"
 #include "util/byteio.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -801,8 +799,8 @@ std::uint64_t scenario_fingerprint(const ScenarioOptions& options) {
 }
 
 /// Publishes the pipeline's outcome counts from the *final* Dataset,
-/// so fresh and resumed runs export the same values (restored stages
-/// contribute through their snapshots, not by re-running).
+/// so fresh and resumed runs export the same values (a restored cut
+/// contributes through its snapshot, not by re-running).
 void publish_dataset_metrics(obs::MetricsRegistry& metrics,
                              const Dataset& dataset) {
   const auto set = [&](std::string_view name, std::size_t value) {
@@ -891,155 +889,12 @@ honeypot::DeploymentConfig make_paper_deployment_config(
 }
 
 Dataset build_paper_dataset(const ScenarioOptions& options) {
-  options.faults.validate();
-  snapshot::CheckpointStore store{options.checkpoint,
-                                  scenario_fingerprint(options)};
-  Dataset dataset;
-  // One pool for the whole build; every consumer produces output
-  // byte-identical to the serial path, so the width is a pure
-  // throughput knob (and deliberately absent from the fingerprint).
-  ThreadPool pool{options.threads};
-  ThreadPoolMetrics pool_metrics;
-  if (options.metrics != nullptr) pool.attach_metrics(&pool_metrics);
-
-  const obs::TraceRecorder::Scoped pipeline_span{options.trace, "pipeline"};
-
-  // Stage 1 — ground truth. The environment is a pure function of the
-  // landscape, so it is rebuilt rather than snapshotted.
-  {
-    const obs::TraceRecorder::Scoped span{options.trace, "stage.landscape",
-                                          pipeline_span.id()};
-    if (auto loaded = store.load_landscape()) {
-      dataset.landscape = std::move(*loaded);
-    } else {
-      dataset.landscape = make_paper_landscape(options);
-      store.save_landscape(dataset.landscape);
-    }
-  }
-  {
-    const obs::TraceRecorder::Scoped span{options.trace, "stage.environment",
-                                          pipeline_span.id()};
-    dataset.environment = make_paper_environment(dataset.landscape);
-  }
-
-  // Stage 2 — deployment + enrichment. The fault report travels with
-  // the snapshot: the injector is not re-exercised on resume, so its
-  // counters can only come from the stage that produced them.
-  if (auto loaded = store.load_database()) {
-    dataset.db = std::move(loaded->db);
-    dataset.enrichment = loaded->enrichment;
-    dataset.fault_report = loaded->fault_report;
-  } else {
-    // Only hand the deployment an injector when a *pipeline* site can
-    // actually fire; an empty plan is equivalent either way (the
-    // injector draws no shared randomness), the nullptr path just makes
-    // that obvious. Serve-only plans gate on pipeline_empty() so a live
-    // daemon's client-fault knobs never perturb fault.*.checked.
-    fault::FaultInjector injector{options.faults};
-    fault::FaultInjector* faults =
-        options.faults.pipeline_empty() ? nullptr : &injector;
-
-    const honeypot::DeploymentConfig config =
-        make_paper_deployment_config(options, faults);
-    honeypot::Deployment deployment{dataset.landscape, config};
-    snapshot::DatabaseStage stage;
-    {
-      const obs::TraceRecorder::Scoped span{
-          options.trace, "stage.deployment", pipeline_span.id()};
-      stage.db = deployment.run();
-    }
-    {
-      const obs::TraceRecorder::Scoped span{
-          options.trace, "stage.enrichment", pipeline_span.id()};
-      stage.enrichment = honeypot::enrich_database(
-          stage.db, dataset.landscape, dataset.environment, faults, &pool);
-    }
-    stage.fault_report = injector.report();
-    store.save_database(stage);
-    dataset.db = std::move(stage.db);
-    dataset.enrichment = stage.enrichment;
-    dataset.fault_report = stage.fault_report;
-  }
-
-  // Stages 3 and 4 — the four clusterings (E, P, M, B) are mutually
-  // independent views of the same immutable database, so whichever are
-  // not restored from checkpoints run as concurrent pool tasks. The
-  // snapshots are still written afterwards in stage order (EPM before
-  // behavioral) so a crash can never leave a later checkpoint without
-  // its predecessor.
-  auto loaded_epm = store.load_epm();
-  // A behavioral stage written by a different backend is quarantined as
-  // stale inside load_behavioral — exact/kmeans never silently resume
-  // an LSH checkpoint (or vice versa); the stage is just recomputed.
-  auto loaded_behavioral = store.load_behavioral(options.b_backend);
-
-  snapshot::EpmStage epm_stage;
-  {
-    const obs::TraceRecorder::Scoped clustering_span{
-        options.trace, "stage.clustering", pipeline_span.id()};
-    // Task spans attach to the clustering span by id: the Scoped
-    // handles below are created on whichever pool thread runs the
-    // task, while the parent was opened on this one.
-    const auto parent = clustering_span.id();
-    std::vector<std::function<void()>> cluster_tasks;
-    if (!loaded_epm) {
-      cluster_tasks.emplace_back([&, parent] {
-        const obs::TraceRecorder::Scoped span{options.trace, "cluster.e",
-                                              parent};
-        epm_stage.e =
-            cluster::epm_cluster(cluster::build_epsilon_data(dataset.db));
-      });
-      cluster_tasks.emplace_back([&, parent] {
-        const obs::TraceRecorder::Scoped span{options.trace, "cluster.p",
-                                              parent};
-        epm_stage.p = cluster::epm_cluster(cluster::build_pi_data(dataset.db));
-      });
-      cluster_tasks.emplace_back([&, parent] {
-        const obs::TraceRecorder::Scoped span{options.trace, "cluster.m",
-                                              parent};
-        epm_stage.m = cluster::epm_cluster(cluster::build_mu_data(dataset.db));
-      });
-    }
-    if (!loaded_behavioral) {
-      cluster_tasks.emplace_back([&, parent] {
-        const obs::TraceRecorder::Scoped span{options.trace, "cluster.b",
-                                              parent};
-        cluster::BehavioralOptions behavioral;
-        behavioral.threshold = options.b_threshold;
-        behavioral.backend = options.b_backend;
-        // The behavioral task additionally parallelizes internally
-        // (nested submission): idle workers from the cheaper EPM tasks
-        // drain its signature and bucket chunks.
-        behavioral.pool = &pool;
-        behavioral.metrics = options.metrics;
-        dataset.b = analysis::BehavioralView::build(dataset.db, behavioral);
-      });
-    }
-    pool.run_tasks(cluster_tasks);
-  }
-
-  if (loaded_epm) {
-    dataset.e = std::move(loaded_epm->e);
-    dataset.p = std::move(loaded_epm->p);
-    dataset.m = std::move(loaded_epm->m);
-  } else {
-    store.save_epm(epm_stage);
-    dataset.e = std::move(epm_stage.e);
-    dataset.p = std::move(epm_stage.p);
-    dataset.m = std::move(epm_stage.m);
-  }
-  if (loaded_behavioral) {
-    dataset.b = std::move(*loaded_behavioral);
-  } else {
-    store.save_behavioral(dataset.b, options.b_backend);
-  }
-
-  dataset.checkpoint_activity = store.activity();
-  if (options.metrics != nullptr) {
-    publish_dataset_metrics(*options.metrics, dataset);
-    publish_pool_metrics(*options.metrics, pool, pool_metrics);
-  }
-  return dataset;
+  // The one-epoch run of the epoch loop without a WAL: one full
+  // clustering of the whole stream, resumable from a cut that covers it.
+  StreamOptions batch;
+  batch.epochs = 1;
+  batch.incremental = false;
+  return build_streaming_dataset(options, batch);
 }
 
 }  // namespace repro::scenario

@@ -42,13 +42,12 @@ struct ScenarioOptions {
   /// Jaccard threshold of the behavioral clustering.
   double b_threshold = 0.70;
   /// B-clustering backend (cluster/backend.hpp registry). Deliberately
-  /// NOT part of the scenario fingerprint: the landscape, database and
-  /// EPM results are backend-independent, so their snapshots and WAL
-  /// segments are sound to share across backends. Backend-dependent
-  /// artifacts (the behavioral stage, epoch cuts) carry their own
-  /// backend tag instead — a mismatch quarantines the batch stage as
-  /// stale, and the incremental streaming path refuses the switch with
-  /// a typed ConfigError (see DESIGN.md §15).
+  /// NOT part of the scenario fingerprint: the database and EPM results
+  /// are backend-independent, so WAL segments are sound to share across
+  /// backends. Epoch cuts carry their own backend tag instead — on a
+  /// mismatch the full-recompute path declines the cut and recomputes,
+  /// and the incremental path refuses the switch with a typed
+  /// ConfigError (see DESIGN.md §15).
   cluster::BackendKind b_backend = cluster::BackendKind::kLsh;
   /// Worker-pool width for the processing pipeline (enrichment and the
   /// four clusterings). 0 = hardware_concurrency, 1 = the bit-exact
@@ -60,9 +59,9 @@ struct ScenarioOptions {
   /// produce a dataset bit-identical to a run without any injector.
   fault::FaultPlan faults;
   /// Crash-safe checkpointing (opt-in). When `checkpoint.directory` is
-  /// set, build_paper_dataset saves a snapshot after every stage and
-  /// resumes from the last valid one on the next run. Resumed output is
-  /// byte-identical to an uninterrupted run; snapshots written under
+  /// set, the epoch loop saves an epoch cut after every epoch and
+  /// resumes from the newest valid one on the next run. Resumed output
+  /// is byte-identical to an uninterrupted run; cuts written under
   /// different options (seed, scale, threshold, fault plan) are
   /// rejected by fingerprint and recomputed.
   snapshot::CheckpointOptions checkpoint;
@@ -80,9 +79,9 @@ struct ScenarioOptions {
 /// threshold and the full fault plan — not the checkpoint knobs, and
 /// not `threads`, which never changes the dataset). Embedded in
 /// snapshots so stale checkpoints never leak across configurations.
-/// `b_backend` is also excluded: backend-independent stages share
-/// snapshots and WAL segments across backends, while backend-dependent
-/// ones are guarded by their own backend tag (see ScenarioOptions).
+/// `b_backend` is also excluded: WAL segments are shared across
+/// backends, while epoch cuts are guarded by their own backend tag
+/// (see ScenarioOptions).
 [[nodiscard]] std::uint64_t scenario_fingerprint(
     const ScenarioOptions& options);
 
@@ -108,23 +107,26 @@ struct Dataset {
   cluster::EpmResult p;
   cluster::EpmResult m;
   analysis::BehavioralView b;
-  /// Per-stage fault counters accumulated while building the dataset;
-  /// all-zero when `ScenarioOptions::faults` is empty. Restored from
-  /// the stage-2 snapshot on resume (the injector is not re-exercised
-  /// for restored stages).
+  /// Fault counters accumulated while building the dataset; all-zero
+  /// when `ScenarioOptions::faults` is empty. The post-generation share
+  /// is restored from the epoch cut on resume (the injector is not
+  /// re-exercised for records the cut covers).
   fault::FaultReport fault_report;
   /// What checkpointing did during this build (all-zero when disabled).
   snapshot::CheckpointStore::Activity checkpoint_activity;
-  /// Streaming-ingest accounting; all-zero for a one-shot batch build
-  /// (only build_streaming_dataset drives the WAL/queue/epoch path).
+  /// Streaming-ingest accounting; all-zero for a run without a WAL
+  /// (build_paper_dataset included).
   ingest::IngestReport ingest;
 };
 
+/// The one-shot build: the epoch loop's one-epoch run without a WAL,
+/// with the full-recompute clustering (scenario/stream.hpp). With
+/// `options.checkpoint` set it writes one epoch cut and resumes from a
+/// cut that covers the whole stream.
 [[nodiscard]] Dataset build_paper_dataset(const ScenarioOptions& options = {});
 
-/// The deployment configuration the paper scenario runs under; shared
-/// by the batch build above and the streaming epoch loop so both
-/// generate the exact same event sequence.
+/// The deployment configuration the paper scenario runs under: the
+/// generator of the epoch loop's event stream.
 [[nodiscard]] honeypot::DeploymentConfig make_paper_deployment_config(
     const ScenarioOptions& options, fault::FaultInjector* faults);
 

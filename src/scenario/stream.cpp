@@ -1,5 +1,6 @@
 #include "scenario/stream.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -113,6 +114,147 @@ void accumulate(honeypot::EnrichmentStats& total,
   return writer.take();
 }
 
+
+ingest::WalOptions wal_options(const StreamOptions& stream) {
+  ingest::WalOptions wal;
+  wal.directory = stream.wal_dir;
+  wal.segment_bytes = stream.segment_bytes;
+  wal.fail_after_seal = stream.fail_after_seal;
+  return wal;
+}
+
+/// The durable record source of the epoch loop: WAL recovery, the
+/// appender, the bounded queue and per-record delivery simulation. A
+/// run without a WAL has none of this — its single epoch adopts the
+/// generated database instead — so the loop holds it as an optional
+/// and tests for it once per step.
+class WalIngest {
+ public:
+  /// Recovers the WAL (salvage counters land in `report`) and positions
+  /// the appender after the recovered prefix.
+  WalIngest(const StreamOptions& stream, std::uint64_t fingerprint,
+            ingest::IngestReport& report)
+      : WalIngest(stream, fingerprint, report,
+                  ingest::recover_wal(wal_options(stream), fingerprint,
+                                      report)) {}
+
+  /// Heals a WAL that fell behind its checkpoint (crash after the cut
+  /// was durable but before the damaged tail segment was, or a
+  /// quarantined segment). The cut already covers these records' state
+  /// and fault counters, so they are re-appended verbatim — no delivery
+  /// simulation, no replay. Recovered payloads the cut covers are
+  /// released: nothing replays them again.
+  void heal(std::uint64_t done, const honeypot::EventDatabase& gen_db) {
+    const std::uint64_t covered = std::min<std::uint64_t>(done, recovered_.size());
+    for (std::uint64_t i = 0; i < covered; ++i) {
+      recovered_[static_cast<std::size_t>(i)] = std::vector<std::uint8_t>{};
+    }
+    while (writer_.next_record_index() < done) {
+      append(take_record(writer_.next_record_index(), gen_db));
+    }
+  }
+
+  /// One epoch's records [from, to): delivered, durably appended through
+  /// the bounded queue, and replayed into `db`. Each record's bytes are
+  /// released once it is replayed and appended.
+  void ingest_epoch(std::uint64_t from, std::uint64_t to,
+                    const honeypot::EventDatabase& gen_db,
+                    honeypot::EventDatabase& db,
+                    fault::FaultInjector& injector) {
+    for (std::uint64_t i = from; i < to; ++i) {
+      const std::vector<std::uint8_t> rec = take_record(i, gen_db);
+      // Delivery simulation runs for every record past the last cut,
+      // including records already durable in the WAL: the run that
+      // appended those died before checkpointing its counters, and the
+      // decisions are pure in (plan, key), so re-rolling them here
+      // restores exactly the counts it lost.
+      (void)ingest::deliver_record(stream_.retry, i, gen_db.events()[i].time,
+                                   injector);
+      bytes_delta_ += rec.size() + ingest::kWalFrameHeaderBytes;
+      if (i >= writer_.next_record_index()) {
+        // Fresh record: through the bounded queue into the WAL. The
+        // queue is drained only when full, so backpressure genuinely
+        // engages (and is counted) instead of the queue idling at
+        // depth one.
+        if (!queue_.offer(rec)) {
+          drain();
+          if (!queue_.offer(rec)) {
+            throw IoError("ingest queue rejected a record after drain");
+          }
+        }
+      }
+      replay_record(rec, db);
+    }
+    drain();
+    writer_.sync();
+    writer_.seal();
+  }
+
+  /// Stream totals as of a cut at `target` records. They are computed
+  /// from the record sequence (not from what this process happened to
+  /// append), so they are identical however many times the run was
+  /// killed on the way here.
+  void cut(std::uint64_t target) {
+    report_.records_appended = target;
+    report_.bytes_appended += bytes_delta_;
+    bytes_delta_ = 0;
+    report_.segments_sealed = writer_.segment_index() - 1;
+  }
+
+  /// Copies this run's queue accounting into the report.
+  void finish() {
+    const ingest::BoundedRecordQueue::Stats stats = queue_.stats();
+    report_.queue_pushed = stats.pushed;
+    report_.queue_shed = stats.shed;
+    report_.queue_stalls = stats.stalls;
+    report_.queue_high_water = stats.high_water;
+  }
+
+ private:
+  WalIngest(const StreamOptions& stream, std::uint64_t fingerprint,
+            ingest::IngestReport& report, ingest::RecoveredWal recovered)
+      : stream_(stream),
+        report_(report),
+        writer_(wal_options(stream), fingerprint, recovered,
+                /*report=*/nullptr),
+        recovered_(std::move(recovered.records)),
+        queue_(stream.queue_capacity, ingest::OverflowPolicy::kBlock) {}
+
+  /// Record `index`: the recovered payload, moved out of the cache (it
+  /// is replayed once), or past the recovered prefix encoded fresh from
+  /// the regenerated stream. Recovered payloads are CRC-framed and
+  /// fingerprint-checked, so both sources yield the same bytes.
+  std::vector<std::uint8_t> take_record(std::uint64_t index,
+                                        const honeypot::EventDatabase& gen_db) {
+    if (index < recovered_.size()) {
+      return std::move(recovered_[static_cast<std::size_t>(index)]);
+    }
+    return encode_record(gen_db.events()[index], gen_db);
+  }
+
+  void append(std::span<const std::uint8_t> payload) {
+    writer_.append(payload);
+    ++appended_this_run_;
+    if (stream_.after_append) stream_.after_append(appended_this_run_);
+  }
+
+  void drain() {
+    while (auto rec = queue_.try_pop()) append(*rec);
+  }
+
+  const StreamOptions& stream_;
+  ingest::IngestReport& report_;
+  // Declared before recovered_: the writer sizes itself from the
+  // recovery result before its records are moved out — a moved-from
+  // list would reset its next-record index to zero and every resume
+  // would re-append the whole stream as duplicate frames.
+  ingest::WalWriter writer_;
+  std::vector<std::vector<std::uint8_t>> recovered_;
+  ingest::BoundedRecordQueue queue_;
+  std::uint64_t appended_this_run_ = 0;
+  std::uint64_t bytes_delta_ = 0;
+};
+
 }  // namespace
 
 void StreamOptions::validate() const {
@@ -122,18 +264,25 @@ void StreamOptions::validate() const {
   if (queue_capacity == 0) {
     throw ConfigError("StreamOptions: queue_capacity must be at least 1");
   }
-  ingest::WalOptions wal;
-  wal.directory = wal_dir;
-  wal.segment_bytes = segment_bytes;
-  wal.validate();  // rejects an empty wal_dir / zero segment size
   retry.validate();
+  if (wal_dir.empty()) {
+    // Without a WAL the records exist only in the generated database,
+    // which the single epoch adopts whole.
+    if (epochs != 1) {
+      throw ConfigError(
+          "StreamOptions: more than one epoch requires a wal_dir");
+    }
+    return;
+  }
+  wal_options(*this).validate();  // rejects a zero segment size
 }
 
 Dataset build_streaming_dataset(const ScenarioOptions& options,
                                 const StreamOptions& stream) {
   options.faults.validate();
   stream.validate();
-  if ((stream.incremental || stream.verify_incremental) &&
+  const bool incremental = stream.incremental || stream.verify_incremental;
+  if (incremental &&
       !cluster::cluster_backend(options.b_backend).single_linkage()) {
     // Prefix seeding from the prior epoch's partition is only sound
     // under connected-component semantics; re-centering backends must
@@ -148,32 +297,39 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   snapshot::CheckpointStore store{options.checkpoint, fingerprint};
 
   Dataset dataset;
+  // One pool for the whole run; every consumer produces output
+  // byte-identical to the serial path, so the width is a pure
+  // throughput knob (and deliberately absent from the fingerprint).
   ThreadPool pool{options.threads};
   ThreadPoolMetrics pool_metrics;
   if (options.metrics != nullptr) pool.attach_metrics(&pool_metrics);
 
-  const obs::TraceRecorder::Scoped pipeline_span{options.trace, "stream"};
+  const obs::TraceRecorder::Scoped pipeline_span{options.trace, "pipeline"};
 
-  // Ground truth, shared with the batch path (same stage-1 snapshot).
+  // Ground truth. Regenerated on every run (milliseconds), never
+  // checkpointed; the environment is a pure function of it.
   {
     const obs::TraceRecorder::Scoped span{options.trace, "stage.landscape",
                                           pipeline_span.id()};
-    if (auto loaded = store.load_landscape()) {
-      dataset.landscape = std::move(*loaded);
-    } else {
-      dataset.landscape = make_paper_landscape(options);
-      store.save_landscape(dataset.landscape);
-    }
+    dataset.landscape = make_paper_landscape(options);
+    dataset.environment = make_paper_environment(dataset.landscape);
   }
-  dataset.environment = make_paper_environment(dataset.landscape);
+
+  // The newest epoch cut, loaded before the event stream is
+  // regenerated: decoding a cut is the memory peak of a warm start, and
+  // this way it never overlaps the generated database.
+  std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
 
   // Sensor side: regenerate the full event sequence. Generation is
   // deterministic and cheap relative to enrichment + clustering, so a
   // resumed run recomputes it instead of persisting it; `baseline`
   // captures the injector right afterwards so the per-epoch slices
   // below contain only post-generation activity (which is what the
-  // epoch checkpoints carry — generation's share is reproduced
-  // identically by every run).
+  // epoch cuts carry — generation's share is reproduced identically by
+  // every run). Only hand the deployment an injector when a pipeline
+  // site can actually fire: serve-only plans gate on pipeline_empty()
+  // so a live daemon's client-fault knobs never perturb
+  // fault.*.checked.
   fault::FaultInjector injector{options.faults};
   fault::FaultInjector* faults =
       options.faults.pipeline_empty() ? nullptr : &injector;
@@ -189,34 +345,32 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   const fault::FaultReport baseline = injector.report();
   const std::uint64_t total = gen_db.events().size();
 
-  // Collector side: recover the WAL, then resume from the newest epoch
-  // cut. The two are independent durability layers — either may be
+  // Collector side: recover the WAL (when there is one) and resume from
+  // the cut. The two are independent durability layers — either may be
   // ahead of the other after a crash, and both gaps heal below.
   ingest::IngestReport report;
-  ingest::WalOptions wal_options;
-  wal_options.directory = stream.wal_dir;
-  wal_options.segment_bytes = stream.segment_bytes;
-  wal_options.fail_after_seal = stream.fail_after_seal;
-  ingest::RecoveredWal recovered;
-  {
+  std::optional<WalIngest> wal;
+  if (!stream.wal_dir.empty()) {
     const obs::TraceRecorder::Scoped span{options.trace, "stream.recover",
                                           pipeline_span.id()};
-    recovered = ingest::recover_wal(wal_options, fingerprint, report);
+    wal.emplace(stream, fingerprint, report);
   }
 
-  std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
-  if (restored && restored->wal_records > total) {
-    // A matching fingerprint can never produce more records than the
-    // regenerated stream; never trust disk anyway.
+  // A matching fingerprint can never produce more records than the
+  // regenerated stream; never trust disk anyway. Without a WAL there is
+  // no record source to continue a partial cut from, so only a cut of
+  // the whole stream is usable there.
+  if (restored && (wal ? restored->wal_records > total
+                       : restored->wal_records != total)) {
     restored.reset();
   }
   if (restored && restored->b_backend != options.b_backend) {
     // The cut's behavioral partition came from another backend. The
     // incremental path would seed this backend's union-find from it —
     // a silent stale partition — so it refuses the switch outright;
-    // the full-recompute path just declines the cut and replays the
-    // WAL from the start (everything it recomputes is backend-pure).
-    if (stream.incremental || stream.verify_incremental) {
+    // the full-recompute path just declines the cut and recomputes
+    // from the start (everything it recomputes is backend-pure).
+    if (incremental) {
       throw ConfigError(
           "epoch checkpoint was cut by cluster backend '" +
           std::string{cluster::backend_name(restored->b_backend)} +
@@ -228,88 +382,43 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     restored.reset();
   }
 
-  std::uint64_t done = 0;  // records already replayed into `db`
-  honeypot::EventDatabase db;
-  honeypot::EnrichmentStats enrich_totals;
+  // The loop's live pipeline state. It doubles as the epoch cut: saving
+  // stamps a few scalars on it and writes it out, so checkpointing
+  // never copies the database or the clustering results.
+  snapshot::EpochStage state;
+  honeypot::EventDatabase& db = state.database.db;
+  std::uint64_t done = 0;  // records already ingested into `db`
   fault::FaultReport restored_slice;
-  snapshot::EpmStage epm_stage;
-  analysis::BehavioralView bview;
   // Incremental clustering engines: durable counting state per EPM
   // dimension plus the cross-epoch MinHash signature cache. Primed from
   // the restored cut below; verify mode also runs them (its published
   // results are the incremental ones).
-  const bool incremental = stream.incremental || stream.verify_incremental;
   cluster::IncrementalEpm inc_e{cluster::Dimension::kEpsilon};
   cluster::IncrementalEpm inc_p{cluster::Dimension::kPi};
   cluster::IncrementalEpm inc_m{cluster::Dimension::kMu};
   cluster::SignatureStore signatures;
   bool have_results = false;
   if (restored) {
-    done = restored->wal_records;
-    db = std::move(restored->database.db);
-    enrich_totals = restored->database.enrichment;
-    restored_slice = restored->database.fault_report;
-    epm_stage = std::move(restored->epm);
-    bview = std::move(restored->behavioral);
-    ingest::decode_stream_totals(restored->ingest_blob, report);
+    state = std::move(*restored);
+    done = state.wal_records;
+    restored_slice = state.database.fault_report;
+    if (wal) ingest::decode_stream_totals(state.ingest_blob, report);
     if (incremental) {
       // Empty blobs (a cut written by the full-recompute path) make the
       // engines recount from the restored rows — same state, recomputed.
-      inc_e.restore(db, epm_stage.e, restored->e_counts);
-      inc_p.restore(db, epm_stage.p, restored->p_counts);
-      inc_m.restore(db, epm_stage.m, restored->m_counts);
-      if (!restored->signature_blob.empty()) {
-        signatures = cluster::decode_signature_store(restored->signature_blob);
+      inc_e.restore(db, state.epm.e, state.e_counts);
+      inc_p.restore(db, state.epm.p, state.p_counts);
+      inc_m.restore(db, state.epm.m, state.m_counts);
+      if (!state.signature_blob.empty()) {
+        signatures = cluster::decode_signature_store(state.signature_blob);
       }
     }
     have_results = true;
     report.epochs_restored = 1;
   }
-
-  // The writer must size itself from the recovery result *before* the
-  // records are moved out below — a moved-from list would reset its
-  // next-record index to zero and every resume would re-append the
-  // whole stream as duplicate frames.
-  ingest::WalWriter writer{wal_options, fingerprint, recovered,
-                           /*report=*/nullptr};
-
-  // Unified record source: the recovered prefix as salvaged, encoded
-  // fresh from the regenerated stream past it. Recovered payloads are
-  // CRC-framed and fingerprint-checked, so both sources yield the same
-  // bytes for the same index.
-  std::vector<std::vector<std::uint8_t>> records = std::move(recovered.records);
-  auto record_bytes =
-      [&](std::uint64_t index) -> const std::vector<std::uint8_t>& {
-    while (records.size() <= index) {
-      records.push_back(
-          encode_record(gen_db.events()[records.size()], gen_db));
-    }
-    return records[static_cast<std::size_t>(index)];
-  };
-  std::uint64_t appended_this_run = 0;
-  ingest::BoundedRecordQueue queue{stream.queue_capacity,
-                                   ingest::OverflowPolicy::kBlock};
-  auto drain_queue = [&] {
-    while (auto rec = queue.try_pop()) {
-      writer.append(*rec);
-      ++appended_this_run;
-      if (stream.after_append) stream.after_append(appended_this_run);
-    }
-  };
-
-  // Heal a WAL that fell behind its checkpoint (crash after the cut was
-  // durable but before the damaged tail segment was, or a quarantined
-  // segment). The checkpoint already covers these records' state and
-  // fault counters, so they are re-appended verbatim — no delivery
-  // simulation, no replay.
-  while (writer.next_record_index() < done) {
-    writer.append(record_bytes(writer.next_record_index()));
-    ++appended_this_run;
-    if (stream.after_append) stream.after_append(appended_this_run);
-  }
+  if (wal) wal->heal(done, gen_db);
 
   fault::FaultReport final_slice = restored_slice;
-  std::uint64_t bytes_delta = 0;
   for (std::size_t k = 0; k < stream.epochs; ++k) {
     // Epoch boundaries are record counts, independent of the split a
     // previous (killed) run used.
@@ -329,33 +438,15 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     {
       const obs::TraceRecorder::Scoped span{options.trace, "epoch.replay",
                                             epoch_span.id()};
-      for (std::uint64_t i = done; i < target; ++i) {
-        const std::vector<std::uint8_t>& rec = record_bytes(i);
-        // Delivery simulation runs for every record past the last cut,
-        // including records already durable in the WAL: the run that
-        // appended those died before checkpointing its counters, and
-        // the decisions are pure in (plan, key), so re-rolling them
-        // here restores exactly the counts it lost.
-        (void)ingest::deliver_record(stream.retry, i, gen_db.events()[i].time,
-                                     injector);
-        bytes_delta += rec.size() + ingest::kWalFrameHeaderBytes;
-        if (i >= writer.next_record_index()) {
-          // Fresh record: through the bounded queue into the WAL. The
-          // queue is drained only when full, so backpressure genuinely
-          // engages (and is counted) instead of the queue idling at
-          // depth one.
-          if (!queue.offer(std::vector<std::uint8_t>{rec})) {
-            drain_queue();
-            if (!queue.offer(std::vector<std::uint8_t>{rec})) {
-              throw IoError("ingest queue rejected a record after drain");
-            }
-          }
-        }
-        replay_record(rec, db);
+      if (wal) {
+        wal->ingest_epoch(done, target, gen_db, db, injector);
+      } else {
+        // The one epoch of a run without a WAL covers the whole stream
+        // (validate() enforces it), so the generated database *is* its
+        // state. Adopting it skips re-encoding every record and
+        // re-hashing every download.
+        db = std::move(gen_db);
       }
-      drain_queue();
-      writer.sync();
-      writer.seal();
     }
 
     // The delta past the previous cut is all that needs enriching;
@@ -364,7 +455,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     {
       const obs::TraceRecorder::Scoped span{options.trace, "epoch.enrich",
                                             epoch_span.id()};
-      accumulate(enrich_totals,
+      accumulate(state.database.enrichment,
                  honeypot::enrich_database(db, dataset.landscape,
                                            dataset.environment, faults, &pool,
                                            first_sample));
@@ -376,76 +467,79 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     // MinHash signatures for the unchanged profile prefix — both
     // byte-identical to the full recompute, which `incremental = false`
     // still runs (this is the cost pair the ABL-10 streaming ablation
-    // measures).
+    // measures). The four clusterings are mutually independent views of
+    // the same database, so they run as concurrent pool tasks.
     {
       const obs::TraceRecorder::Scoped cluster_span{
           options.trace, "epoch.cluster", epoch_span.id()};
+      // Task spans attach to the clustering span by id: the Scoped
+      // handles below are created on whichever pool thread runs the
+      // task, while the parent was opened on this one.
       const auto parent = cluster_span.id();
+      cluster::BehavioralOptions behavioral;
+      behavioral.threshold = options.b_threshold;
+      behavioral.backend = options.b_backend;
+      // B additionally parallelizes internally (nested submission):
+      // idle workers from the cheaper EPM tasks drain its signature and
+      // bucket chunks.
+      behavioral.pool = &pool;
       // Previous epoch's B partition (restored from the cut on warm
       // resume). Its rows are a prefix of this epoch's — profiles are
       // immutable and appended in sample order — so it seeds the
       // union-find and confines Jaccard work to pairs touching the
-      // appended suffix. Copied out because the B task overwrites
-      // `bview` in place.
-      const std::vector<int> prior_b = bview.clusters().assignment;
+      // appended suffix. Copied out because the B task overwrites the
+      // view in place.
+      std::vector<int> prior_b;
       std::vector<std::function<void()>> tasks;
       if (incremental) {
+        prior_b = state.behavioral.clusters().assignment;
+        behavioral.signature_cache = &signatures;
+        behavioral.prior_assignment = &prior_b;
+        // Deliberately no metrics sink: B's work counters would
+        // accumulate once per epoch run by *this process*, which a
+        // kill-resume run does fewer of — the deterministic channel
+        // only carries final-state values (published below).
         tasks.emplace_back([&, parent] {
           const obs::TraceRecorder::Scoped span{options.trace, "cluster.e",
                                                 parent};
-          epm_stage.e = inc_e.update(db);
+          state.epm.e = inc_e.update(db);
         });
         tasks.emplace_back([&, parent] {
           const obs::TraceRecorder::Scoped span{options.trace, "cluster.p",
                                                 parent};
-          epm_stage.p = inc_p.update(db);
+          state.epm.p = inc_p.update(db);
         });
         tasks.emplace_back([&, parent] {
           const obs::TraceRecorder::Scoped span{options.trace, "cluster.m",
                                                 parent};
-          epm_stage.m = inc_m.update(db);
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.b",
-                                                parent};
-          cluster::BehavioralOptions behavioral;
-          behavioral.threshold = options.b_threshold;
-          behavioral.backend = options.b_backend;
-          behavioral.pool = &pool;
-          behavioral.signature_cache = &signatures;
-          behavioral.prior_assignment = &prior_b;
-          // Deliberately no metrics sink: B's work counters would
-          // accumulate once per epoch run by *this process*, which a
-          // kill-resume run does fewer of — the deterministic channel
-          // only carries final-state values (published below).
-          bview = analysis::BehavioralView::build(db, behavioral);
+          state.epm.m = inc_m.update(db);
         });
       } else {
+        // The final epoch's B is a pure function of the final database,
+        // so its work counters are width-stable and equal to a one-shot
+        // clustering of the whole stream; earlier epochs stay silent.
+        if (last) behavioral.metrics = options.metrics;
         tasks.emplace_back([&, parent] {
           const obs::TraceRecorder::Scoped span{options.trace, "cluster.e",
                                                 parent};
-          epm_stage.e = cluster::epm_cluster(cluster::build_epsilon_data(db));
+          state.epm.e = cluster::epm_cluster(cluster::build_epsilon_data(db));
         });
         tasks.emplace_back([&, parent] {
           const obs::TraceRecorder::Scoped span{options.trace, "cluster.p",
                                                 parent};
-          epm_stage.p = cluster::epm_cluster(cluster::build_pi_data(db));
+          state.epm.p = cluster::epm_cluster(cluster::build_pi_data(db));
         });
         tasks.emplace_back([&, parent] {
           const obs::TraceRecorder::Scoped span{options.trace, "cluster.m",
                                                 parent};
-          epm_stage.m = cluster::epm_cluster(cluster::build_mu_data(db));
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.b",
-                                                parent};
-          cluster::BehavioralOptions behavioral;
-          behavioral.threshold = options.b_threshold;
-          behavioral.backend = options.b_backend;
-          behavioral.pool = &pool;
-          bview = analysis::BehavioralView::build(db, behavioral);
+          state.epm.m = cluster::epm_cluster(cluster::build_mu_data(db));
         });
       }
+      tasks.emplace_back([&, parent] {
+        const obs::TraceRecorder::Scoped span{options.trace, "cluster.b",
+                                              parent};
+        state.behavioral = analysis::BehavioralView::build(db, behavioral);
+      });
       pool.run_tasks(tasks);
     }
 
@@ -492,78 +586,76 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
             " bytes diverge from the full recompute at epoch " +
             std::to_string(k));
       };
-      if (epm_bytes(epm_stage.e) != epm_bytes(full_epm.e)) mismatch("epsilon");
-      if (epm_bytes(epm_stage.p) != epm_bytes(full_epm.p)) mismatch("pi");
-      if (epm_bytes(epm_stage.m) != epm_bytes(full_epm.m)) mismatch("mu");
-      if (bview_bytes(bview) != bview_bytes(full_b)) mismatch("behavioral");
+      if (epm_bytes(state.epm.e) != epm_bytes(full_epm.e)) mismatch("epsilon");
+      if (epm_bytes(state.epm.p) != epm_bytes(full_epm.p)) mismatch("pi");
+      if (epm_bytes(state.epm.m) != epm_bytes(full_epm.m)) mismatch("mu");
+      if (bview_bytes(state.behavioral) != bview_bytes(full_b)) {
+        mismatch("behavioral");
+      }
       ++report.epochs_verified;
     }
     have_results = true;
 
     // Cut the epoch: state + the post-generation fault slice + stream
-    // totals, all in one durable snapshot. The totals are recomputed
-    // from the record sequence (not from what this process happened to
-    // append), so they are identical however many times the run was
-    // killed on the way here.
+    // totals, all in one durable snapshot.
     final_slice =
         fault::add(restored_slice, fault::subtract(injector.report(),
                                                    baseline));
     ++report.epochs_run;
-    report.records_appended = target;
-    report.bytes_appended += bytes_delta;
-    bytes_delta = 0;
-    report.segments_sealed = writer.segment_index() - 1;
-
-    snapshot::EpochStage cut;
-    cut.epoch = k;
-    cut.wal_records = target;
-    cut.b_backend = options.b_backend;
-    cut.database.db = db;
-    cut.database.enrichment = enrich_totals;
-    cut.database.fault_report = final_slice;
-    cut.epm = epm_stage;
-    cut.behavioral = bview;
-    cut.ingest_blob = ingest::encode_stream_totals(report);
-    if (incremental) {
-      // The engines' durable state travels with the cut so resume is
-      // delta-only; the full-recompute path leaves these empty and a
-      // later incremental resume recounts from the restored rows.
-      cut.e_counts = inc_e.encode_counts();
-      cut.p_counts = inc_p.encode_counts();
-      cut.m_counts = inc_m.encode_counts();
-      cut.signature_blob = cluster::encode_signature_store(signatures);
-    }
-    {
+    if (wal) wal->cut(target);
+    if (store.enabled()) {
+      state.epoch = k;
+      state.wal_records = target;
+      state.b_backend = options.b_backend;
+      state.database.fault_report = final_slice;
+      state.ingest_blob = ingest::encode_stream_totals(report);
+      if (incremental) {
+        // The engines' durable state travels with the cut so resume is
+        // delta-only.
+        state.e_counts = inc_e.encode_counts();
+        state.p_counts = inc_p.encode_counts();
+        state.m_counts = inc_m.encode_counts();
+        state.signature_blob = cluster::encode_signature_store(signatures);
+      } else {
+        // The full-recompute path keeps no counting state (a restored
+        // cut's blobs are stale by now); a later incremental resume
+        // recounts from the restored rows.
+        state.e_counts.clear();
+        state.p_counts.clear();
+        state.m_counts.clear();
+        state.signature_blob.clear();
+      }
       const obs::TraceRecorder::Scoped span{options.trace, "epoch.checkpoint",
                                             epoch_span.id()};
-      store.save_epoch(cut);
+      store.save_epoch(state);
     }
     // The hook sees the 1-based count of durable epochs so a view built
     // here for the final epoch carries the same epoch number as one built
     // from the finished dataset (the fully-restored-resume fallback).
-    if (stream.on_epoch) stream.on_epoch(db, epm_stage, bview, k + 1);
+    if (stream.on_epoch) {
+      stream.on_epoch(db, state.epm, state.behavioral, k + 1);
+    }
     done = target;
   }
 
   dataset.db = std::move(db);
-  dataset.enrichment = enrich_totals;
+  dataset.enrichment = state.database.enrichment;
   dataset.fault_report = fault::add(baseline, final_slice);
-  dataset.e = std::move(epm_stage.e);
-  dataset.p = std::move(epm_stage.p);
-  dataset.m = std::move(epm_stage.m);
-  dataset.b = std::move(bview);
+  dataset.e = std::move(state.epm.e);
+  dataset.p = std::move(state.epm.p);
+  dataset.m = std::move(state.epm.m);
+  dataset.b = std::move(state.behavioral);
   dataset.checkpoint_activity = store.activity();
-
-  const ingest::BoundedRecordQueue::Stats queue_stats = queue.stats();
-  report.queue_pushed = queue_stats.pushed;
-  report.queue_shed = queue_stats.shed;
-  report.queue_stalls = queue_stats.stalls;
-  report.queue_high_water = queue_stats.high_water;
-  dataset.ingest = report;
+  // Ingest accounting describes the WAL; a run without one reports
+  // none.
+  if (wal) {
+    wal->finish();
+    dataset.ingest = report;
+  }
 
   if (options.metrics != nullptr) {
     publish_dataset_metrics(*options.metrics, dataset);
-    ingest::publish_ingest_metrics(*options.metrics, report);
+    if (wal) ingest::publish_ingest_metrics(*options.metrics, report);
     if (incremental) {
       // Final-state values of the engines' durable totals: pure
       // functions of the record sequence and the epoch split, so they

@@ -1,21 +1,24 @@
-// Streaming ingest: the paper pipeline as a durable epoch loop.
+// The paper pipeline as one epoch loop.
 //
-// build_streaming_dataset produces the same Dataset as the one-shot
-// build_paper_dataset — byte-identical, at every pool width — but gets
-// there the way a live deployment would: every attack event becomes a
-// WAL record that is delivered (with deterministic retry/backoff under
-// injected faults), buffered through a bounded backpressure queue, and
-// durably appended to the crash-safe WAL in src/ingest. The stream is
-// split into N epochs; each epoch replays its record delta into the
-// event database, enriches the delta, advances the E/P/M/B clusterings
-// incrementally (delta counting + flip-triggered reclassification for
-// EPM, signature-cached LSH for B — byte-identical to a full recompute,
-// which StreamOptions::incremental=false still runs) and cuts an epoch
-// checkpoint. A run killed at any point — mid-epoch,
-// mid-append, mid-segment-rotation, mid-checkpoint-write — resumes
-// from the newest valid epoch cut plus the recovered WAL tail and
-// finishes with byte-identical output, which is the contract pinned by
-// tests/stream_test and the CI crash-loop job.
+// build_streaming_dataset is the only way a Dataset is built:
+// build_paper_dataset is its one-epoch run without a WAL. With a WAL
+// it gets there the way a live deployment would: every attack event
+// becomes a WAL record that is delivered (with deterministic
+// retry/backoff under injected faults), buffered through a bounded
+// backpressure queue, and durably appended to the crash-safe WAL in
+// src/ingest. The stream is split into N epochs; each epoch replays its
+// record delta into the event database, enriches the delta, advances
+// the E/P/M/B clusterings incrementally (delta counting +
+// flip-triggered reclassification for EPM, signature-cached LSH for B —
+// byte-identical to a full recompute, which
+// StreamOptions::incremental=false still runs) and cuts an epoch
+// checkpoint. Without a WAL the single epoch adopts the generated
+// database directly. Either way the output is byte-identical, at every
+// pool width and for every epoch split. A run killed at any point —
+// mid-epoch, mid-append, mid-segment-rotation, mid-checkpoint-write —
+// resumes from the newest valid epoch cut plus the recovered WAL tail
+// and finishes with byte-identical output, which is the contract pinned
+// by tests/stream_test and the CI crash-loop job.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +35,11 @@ struct StreamOptions {
   /// boundaries are record counts (k * total / epochs), so a resumed
   /// checkpoint stays usable even under a different split.
   std::size_t epochs = 4;
-  /// WAL segment directory (required).
+  /// WAL segment directory. Empty selects the in-memory record source:
+  /// no WAL, no queue, no delivery simulation, exactly one epoch that
+  /// adopts the generated database, and only a checkpoint covering the
+  /// whole stream is resumed (any other cut is declined and
+  /// recomputed). Dataset::ingest and the ingest.* metrics stay empty.
   std::string wal_dir;
   /// WAL rotation threshold; tests shrink it to force rotations.
   std::uint64_t segment_bytes = 1u << 20;
@@ -78,16 +85,20 @@ struct StreamOptions {
                      const analysis::BehavioralView& b, std::size_t epoch)>
       on_epoch;
 
-  /// Throws ConfigError on zero epochs/capacity, an empty wal_dir, or
-  /// an invalid retry policy.
+  /// Throws ConfigError on zero epochs/capacity, more than one epoch
+  /// without a wal_dir, a zero segment size, or an invalid retry
+  /// policy.
   void validate() const;
 };
 
-/// Runs the streaming epoch loop. Epoch checkpoints are written through
-/// `options.checkpoint` (same store and fingerprint rules as the batch
-/// stages; disabled when the directory is empty — the run then always
-/// starts from the recovered WAL alone). Returns the same Dataset as
-/// build_paper_dataset(options), plus populated `ingest` accounting.
+/// Runs the epoch loop. Epoch cuts are written through
+/// `options.checkpoint` (disabled when the directory is empty — the
+/// run then always starts from the recovered WAL alone). A cut from
+/// another cluster backend is declined and recomputed on the
+/// full-recompute path and refused with a ConfigError on the
+/// incremental one. Returns the same Dataset as
+/// build_paper_dataset(options), plus populated `ingest` accounting
+/// when a WAL is in use.
 [[nodiscard]] Dataset build_streaming_dataset(const ScenarioOptions& options,
                                               const StreamOptions& stream);
 

@@ -22,35 +22,91 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Header byte naming the snapshot's content. Epoch cuts are the only
+/// kind; the byte keeps the format of files written while per-stage
+/// snapshots (kinds 1-4) still existed.
+constexpr std::uint8_t kEpochCutKind = 5;
+
 [[noreturn]] void throw_io(const std::string& action, const std::string& path) {
   throw IoError("checkpoint: cannot " + action + " " + path + ": " +
                 std::strerror(errno));
 }
 
-/// Writes `bytes` to `path` atomically and durably: the data goes to
-/// "<path>.tmp" first, is fsynced, renamed over `path`, and the parent
-/// directory is fsynced so the rename itself survives a crash. A
-/// partial write therefore only ever leaves a ".tmp" file behind —
-/// never a half-written snapshot under the final name.
-/// `short_write` truncates the temp file halfway and reports false
-/// without renaming (the mid-write crash seam).
-bool atomic_write(const std::string& path, std::span<const std::uint8_t> bytes,
-                  bool short_write) {
+/// Emits the container for `sections` through `put` in file order; the
+/// trailer CRC is computed incrementally over everything before it, so
+/// no contiguous copy of the file ever exists.
+template <typename Put>
+void emit_snapshot(std::uint64_t fingerprint,
+                   std::span<const SectionView> sections, Put&& put) {
+  std::uint32_t file_crc = 0;
+  const auto emit = [&](std::span<const std::uint8_t> bytes) {
+    file_crc = crc32(bytes, file_crc);
+    put(bytes);
+  };
+  ByteWriter header;
+  header.u32(kSnapshotMagic);
+  header.u32(kSnapshotVersion);
+  header.u8(kEpochCutKind);
+  header.u64(fingerprint);
+  header.u32(static_cast<std::uint32_t>(sections.size()));
+  emit(header.data());
+  for (const SectionView& section : sections) {
+    ByteWriter head;
+    head.u32(static_cast<std::uint32_t>(section.name.size()));
+    head.text(section.name);
+    head.u64(section.payload.size());
+    emit(head.data());
+    emit(section.payload);
+    ByteWriter tail;
+    tail.u32(crc32(section.payload));
+    emit(tail.data());
+  }
+  ByteWriter trailer;
+  trailer.u32(file_crc);
+  trailer.u32(kSnapshotEndMagic);
+  put(trailer.data());
+}
+
+/// Encoded size of the container for `sections`.
+std::uint64_t snapshot_size(std::span<const SectionView> sections) {
+  std::uint64_t size = 4 + 4 + 1 + 8 + 4 + 4 + 4;  // header + trailer
+  for (const SectionView& section : sections) {
+    size += 4 + section.name.size() + 8 + section.payload.size() + 4;
+  }
+  return size;
+}
+
+/// Writes the container for `sections` to `path` atomically and
+/// durably: the bytes stream into "<path>.tmp", which is fsynced,
+/// renamed over `path`, and the parent directory is fsynced so the
+/// rename itself survives a crash. A partial write therefore only ever
+/// leaves a ".tmp" file behind — never a half-written snapshot under
+/// the final name. `short_write` stops after half the bytes and reports
+/// false without renaming (the mid-write crash seam).
+bool atomic_write(const std::string& path, std::uint64_t fingerprint,
+                  std::span<const SectionView> sections, bool short_write) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) throw_io("open", tmp);
-  const std::size_t count = short_write ? bytes.size() / 2 : bytes.size();
-  std::size_t written = 0;
-  while (written < count) {
-    const ::ssize_t n =
-        ::write(fd, bytes.data() + written, count - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw_io("write", tmp);
-    }
-    written += static_cast<std::size_t>(n);
-  }
+  const std::uint64_t size = snapshot_size(sections);
+  std::uint64_t budget = short_write ? size / 2 : size;
+  emit_snapshot(fingerprint, sections,
+                [&](std::span<const std::uint8_t> bytes) {
+                  const std::size_t count = static_cast<std::size_t>(
+                      std::min<std::uint64_t>(bytes.size(), budget));
+                  budget -= count;
+                  std::size_t written = 0;
+                  while (written < count) {
+                    const ::ssize_t n = ::write(fd, bytes.data() + written,
+                                                count - written);
+                    if (n < 0) {
+                      if (errno == EINTR) continue;
+                      ::close(fd);
+                      throw_io("write", tmp);
+                    }
+                    written += static_cast<std::size_t>(n);
+                  }
+                });
   if (short_write) {
     ::close(fd);  // deliberately no fsync, no rename: simulated crash
     return false;
@@ -73,30 +129,43 @@ bool atomic_write(const std::string& path, std::span<const std::uint8_t> bytes,
   return true;
 }
 
+/// Reads a whole file into one exactly-sized buffer (growing a buffer
+/// byte by byte would transiently hold up to twice the file).
 std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
+  std::ifstream in{path, std::ios::binary | std::ios::ate};
   if (!in) throw ParseError("checkpoint: cannot read " + path);
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>{in},
-                                  std::istreambuf_iterator<char>{}};
-  if (in.bad()) throw ParseError("checkpoint: cannot read " + path);
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw ParseError("checkpoint: cannot size " + path);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.seekg(0);
+  if (!in.read(reinterpret_cast<char*>(bytes.data()),
+               static_cast<std::streamsize>(size))) {
+    throw ParseError("checkpoint: cannot read " + path);
+  }
   return bytes;
 }
 
-const Section& find_section(const std::vector<Section>& sections,
-                            std::string_view name) {
-  for (const Section& section : sections) {
-    if (section.name == name) return section;
+std::span<const std::uint8_t> find_section(
+    const std::vector<SectionView>& sections, std::string_view name) {
+  for (const SectionView& section : sections) {
+    if (section.name == name) return section.payload;
   }
   throw ParseError("checkpoint: missing section '" + std::string{name} + "'");
+}
+
+/// An opaque section's payload as an owned blob.
+std::vector<std::uint8_t> section_blob(const std::vector<SectionView>& sections,
+                                       std::string_view name) {
+  const std::span<const std::uint8_t> payload = find_section(sections, name);
+  return {payload.begin(), payload.end()};
 }
 
 /// Runs one codec decoder over a section and requires it to consume the
 /// payload exactly.
 template <typename Fn>
-auto decode_section(const std::vector<Section>& sections,
+auto decode_section(const std::vector<SectionView>& sections,
                     std::string_view name, Fn&& decode) {
-  const Section& section = find_section(sections, name);
-  ByteReader reader{section.payload};
+  ByteReader reader{find_section(sections, name)};
   auto value = decode(reader);
   if (reader.remaining() != 0) {
     throw ParseError("checkpoint: section '" + std::string{name} + "' has " +
@@ -105,32 +174,7 @@ auto decode_section(const std::vector<Section>& sections,
   return value;
 }
 
-Section make_section(std::string name, ByteWriter writer) {
-  return Section{std::move(name), writer.take()};
-}
-
 }  // namespace
-
-std::string_view stage_name(Stage stage) {
-  switch (stage) {
-    case Stage::kLandscape:
-      return "landscape";
-    case Stage::kDatabase:
-      return "database";
-    case Stage::kEpm:
-      return "epm";
-    case Stage::kBehavioral:
-      return "behavioral";
-    case Stage::kEpoch:
-      return "epoch";
-  }
-  return "unknown";
-}
-
-std::string stage_filename(Stage stage) {
-  return "stage" + std::to_string(static_cast<int>(stage)) + "-" +
-         std::string{stage_name(stage)} + ".snap";
-}
 
 std::string epoch_filename(std::uint64_t epoch) {
   std::string digits = std::to_string(epoch);
@@ -138,25 +182,15 @@ std::string epoch_filename(std::uint64_t epoch) {
   return "epoch-" + digits + ".snap";
 }
 
-std::vector<std::uint8_t> encode_snapshot(Stage stage,
-                                          std::uint64_t fingerprint,
-                                          const std::vector<Section>& sections) {
-  ByteWriter writer;
-  writer.u32(kSnapshotMagic);
-  writer.u32(kSnapshotVersion);
-  writer.u8(static_cast<std::uint8_t>(stage));
-  writer.u64(fingerprint);
-  writer.u32(static_cast<std::uint32_t>(sections.size()));
-  for (const Section& section : sections) {
-    writer.u32(static_cast<std::uint32_t>(section.name.size()));
-    writer.text(section.name);
-    writer.u64(section.payload.size());
-    writer.bytes(section.payload);
-    writer.u32(crc32(section.payload));
-  }
-  writer.u32(crc32(writer.data()));
-  writer.u32(kSnapshotEndMagic);
-  return writer.take();
+std::vector<std::uint8_t> encode_snapshot(
+    std::uint64_t fingerprint, std::span<const SectionView> sections) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(static_cast<std::size_t>(snapshot_size(sections)));
+  emit_snapshot(fingerprint, sections,
+                [&](std::span<const std::uint8_t> chunk) {
+                  bytes.insert(bytes.end(), chunk.begin(), chunk.end());
+                });
+  return bytes;
 }
 
 DecodedSnapshot decode_snapshot(std::span<const std::uint8_t> bytes) {
@@ -187,13 +221,12 @@ DecodedSnapshot decode_snapshot(std::span<const std::uint8_t> bytes) {
     throw ParseError("snapshot: unsupported format version " +
                      std::to_string(version));
   }
-  DecodedSnapshot decoded;
-  const std::uint8_t stage = reader.u8();
-  if (stage < static_cast<std::uint8_t>(Stage::kLandscape) ||
-      stage > static_cast<std::uint8_t>(Stage::kEpoch)) {
-    throw ParseError("snapshot: out-of-range stage " + std::to_string(stage));
+  const std::uint8_t kind = reader.u8();
+  if (kind != kEpochCutKind) {
+    throw ParseError("snapshot: unknown snapshot kind " +
+                     std::to_string(kind));
   }
-  decoded.stage = static_cast<Stage>(stage);
+  DecodedSnapshot decoded;
   decoded.fingerprint = reader.u64();
   const std::uint32_t section_count = reader.u32();
   if (section_count > reader.remaining() / 16) {
@@ -202,21 +235,27 @@ DecodedSnapshot decode_snapshot(std::span<const std::uint8_t> bytes) {
   }
   decoded.sections.reserve(section_count);
   for (std::uint32_t i = 0; i < section_count; ++i) {
-    Section section;
+    SectionView section;
     const std::uint32_t name_length = reader.u32();
-    section.name = reader.fixed_text(name_length);
+    const std::size_t name_offset = reader.offset();
+    reader.skip(name_length);
+    section.name = std::string_view{
+        reinterpret_cast<const char*>(bytes.data() + name_offset),
+        name_length};
     const std::uint64_t payload_length = reader.u64();
     if (payload_length > reader.remaining()) {
-      throw ParseError("snapshot: section '" + section.name +
+      throw ParseError("snapshot: section '" + std::string{section.name} +
                        "' length exceeds file size");
     }
-    section.payload = reader.bytes(static_cast<std::size_t>(payload_length));
+    section.payload = bytes.subspan(reader.offset(),
+                                    static_cast<std::size_t>(payload_length));
+    reader.skip(section.payload.size());
     const std::uint32_t stored_crc = reader.u32();
     if (crc32(section.payload) != stored_crc) {
-      throw ParseError("snapshot: section '" + section.name +
+      throw ParseError("snapshot: section '" + std::string{section.name} +
                        "' checksum mismatch");
     }
-    decoded.sections.push_back(std::move(section));
+    decoded.sections.push_back(section);
   }
   if (reader.remaining() != 0) {
     throw ParseError("snapshot: " + std::to_string(reader.remaining()) +
@@ -229,58 +268,6 @@ CheckpointStore::CheckpointStore(CheckpointOptions options,
                                  std::uint64_t fingerprint)
     : options_(std::move(options)), fingerprint_(fingerprint) {
   if (enabled()) fs::create_directories(options_.directory);
-}
-
-void CheckpointStore::save_file(const std::string& filename, Stage stage,
-                                const std::vector<Section>& sections,
-                                bool short_write,
-                                const std::string& crash_label) {
-  const std::vector<std::uint8_t> bytes =
-      encode_snapshot(stage, fingerprint_, sections);
-  const std::string path =
-      (fs::path{options_.directory} / filename).string();
-  if (!atomic_write(path, bytes, short_write)) {
-    throw CheckpointInterrupted("simulated crash mid-write of " + crash_label);
-  }
-  ++activity_.saved;
-  activity_.bytes_written += bytes.size();
-}
-
-void CheckpointStore::save_stage(Stage stage,
-                                 const std::vector<Section>& sections) {
-  if (!enabled()) return;
-  save_file(stage_filename(stage), stage, sections,
-            options_.short_write_stage == static_cast<int>(stage),
-            "stage " + std::string{stage_name(stage)});
-  if (options_.stop_after_stage == static_cast<int>(stage)) {
-    throw CheckpointInterrupted("simulated crash after stage " +
-                                std::string{stage_name(stage)});
-  }
-}
-
-std::optional<std::vector<Section>> CheckpointStore::load_stage(Stage stage) {
-  if (!enabled()) return std::nullopt;
-  const std::string path =
-      (fs::path{options_.directory} / stage_filename(stage)).string();
-  std::error_code ec;
-  if (!fs::exists(path, ec) || ec) return std::nullopt;
-  try {
-    DecodedSnapshot decoded = decode_snapshot(read_file(path));
-    if (decoded.stage != stage) {
-      throw ParseError("snapshot: file contains stage " +
-                       std::string{stage_name(decoded.stage)} +
-                       " but was named for " + std::string{stage_name(stage)});
-    }
-    if (decoded.fingerprint != fingerprint_) {
-      quarantine(path, /*stale=*/true);
-      return std::nullopt;
-    }
-    ++activity_.restored;
-    return std::move(decoded.sections);
-  } catch (const ParseError&) {
-    quarantine(path, /*stale=*/false);
-    return std::nullopt;
-  }
 }
 
 std::string unique_quarantine_path(const std::string& path) {
@@ -305,115 +292,6 @@ void CheckpointStore::quarantine(const std::string& path, bool stale) {
   if (stale) ++activity_.stale;
 }
 
-void CheckpointStore::save_landscape(const malware::Landscape& landscape) {
-  if (!enabled()) return;
-  ByteWriter writer;
-  write_landscape(writer, landscape);
-  save_stage(Stage::kLandscape,
-             {make_section("landscape", std::move(writer))});
-}
-
-std::optional<malware::Landscape> CheckpointStore::load_landscape() {
-  const auto sections = load_stage(Stage::kLandscape);
-  if (!sections.has_value()) return std::nullopt;
-  try {
-    malware::Landscape landscape =
-        decode_section(*sections, "landscape", read_landscape);
-    // A decoded landscape must satisfy the same cross-reference
-    // invariants as a freshly built one.
-    landscape.validate();
-    return landscape;
-  } catch (const ParseError&) {
-  } catch (const ConfigError&) {
-  }
-  quarantine(
-      (fs::path{options_.directory} / stage_filename(Stage::kLandscape))
-          .string(),
-      /*stale=*/false);
-  --activity_.restored;
-  return std::nullopt;
-}
-
-void CheckpointStore::save_database(const DatabaseStage& stage) {
-  if (!enabled()) return;
-  ByteWriter db_writer;
-  write_database(db_writer, stage.db);
-  ByteWriter stats_writer;
-  write_enrichment_stats(stats_writer, stage.enrichment);
-  ByteWriter fault_writer;
-  write_fault_report(fault_writer, stage.fault_report);
-  save_stage(Stage::kDatabase,
-             {make_section("database", std::move(db_writer)),
-              make_section("enrichment", std::move(stats_writer)),
-              make_section("fault-report", std::move(fault_writer))});
-}
-
-std::optional<DatabaseStage> CheckpointStore::load_database() {
-  const auto sections = load_stage(Stage::kDatabase);
-  if (!sections.has_value()) return std::nullopt;
-  try {
-    DatabaseStage stage;
-    stage.db = decode_section(*sections, "database", read_database);
-    stage.enrichment =
-        decode_section(*sections, "enrichment", read_enrichment_stats);
-    stage.fault_report =
-        decode_section(*sections, "fault-report", read_fault_report);
-    stage.db.check_consistency();
-    return stage;
-  } catch (const ParseError&) {
-  } catch (const ConfigError&) {
-  }
-  quarantine(
-      (fs::path{options_.directory} / stage_filename(Stage::kDatabase))
-          .string(),
-      /*stale=*/false);
-  --activity_.restored;
-  return std::nullopt;
-}
-
-void CheckpointStore::save_epm(const EpmStage& stage) {
-  if (!enabled()) return;
-  ByteWriter e_writer;
-  write_epm_result(e_writer, stage.e);
-  ByteWriter p_writer;
-  write_epm_result(p_writer, stage.p);
-  ByteWriter m_writer;
-  write_epm_result(m_writer, stage.m);
-  save_stage(Stage::kEpm, {make_section("epsilon", std::move(e_writer)),
-                           make_section("pi", std::move(p_writer)),
-                           make_section("mu", std::move(m_writer))});
-}
-
-std::optional<EpmStage> CheckpointStore::load_epm() {
-  const auto sections = load_stage(Stage::kEpm);
-  if (!sections.has_value()) return std::nullopt;
-  try {
-    EpmStage stage;
-    stage.e = decode_section(*sections, "epsilon", read_epm_result);
-    stage.p = decode_section(*sections, "pi", read_epm_result);
-    stage.m = decode_section(*sections, "mu", read_epm_result);
-    return stage;
-  } catch (const ParseError&) {
-  }
-  quarantine((fs::path{options_.directory} / stage_filename(Stage::kEpm))
-                 .string(),
-             /*stale=*/false);
-  --activity_.restored;
-  return std::nullopt;
-}
-
-void CheckpointStore::save_behavioral(const analysis::BehavioralView& view,
-                                      cluster::BackendKind backend) {
-  if (!enabled()) return;
-  ByteWriter meta_writer;
-  meta_writer.u8(static_cast<std::uint8_t>(backend));
-  ByteWriter writer;
-  write_behavioral_view(writer, view);
-  save_stage(Stage::kBehavioral,
-             {make_section("behavioral-meta", std::move(meta_writer)),
-              make_section("behavioral", std::move(writer))});
-}
-
 void CheckpointStore::save_epoch(const EpochStage& stage) {
   if (!enabled()) return;
   ByteWriter meta_writer;
@@ -434,23 +312,30 @@ void CheckpointStore::save_epoch(const EpochStage& stage) {
   write_epm_result(m_writer, stage.epm.m);
   ByteWriter b_writer;
   write_behavioral_view(b_writer, stage.behavioral);
+  const SectionView sections[] = {
+      {"epoch-meta", meta_writer.data()},
+      {"database", db_writer.data()},
+      {"enrichment", stats_writer.data()},
+      {"fault-report", fault_writer.data()},
+      {"epsilon", e_writer.data()},
+      {"pi", p_writer.data()},
+      {"mu", m_writer.data()},
+      {"behavioral", b_writer.data()},
+      {"ingest", stage.ingest_blob},
+      {"epsilon-counts", stage.e_counts},
+      {"pi-counts", stage.p_counts},
+      {"mu-counts", stage.m_counts},
+      {"signatures", stage.signature_blob}};
   const int ordinal = static_cast<int>(stage.epoch) + 1;
-  save_file(epoch_filename(stage.epoch), Stage::kEpoch,
-            {make_section("epoch-meta", std::move(meta_writer)),
-             make_section("database", std::move(db_writer)),
-             make_section("enrichment", std::move(stats_writer)),
-             make_section("fault-report", std::move(fault_writer)),
-             make_section("epsilon", std::move(e_writer)),
-             make_section("pi", std::move(p_writer)),
-             make_section("mu", std::move(m_writer)),
-             make_section("behavioral", std::move(b_writer)),
-             Section{"ingest", stage.ingest_blob},
-             Section{"epsilon-counts", stage.e_counts},
-             Section{"pi-counts", stage.p_counts},
-             Section{"mu-counts", stage.m_counts},
-             Section{"signatures", stage.signature_blob}},
-            options_.short_write_epoch == ordinal,
-            "epoch " + std::to_string(stage.epoch));
+  const std::string path =
+      (fs::path{options_.directory} / epoch_filename(stage.epoch)).string();
+  if (!atomic_write(path, fingerprint_, sections,
+                    options_.short_write_epoch == ordinal)) {
+    throw CheckpointInterrupted("simulated crash mid-write of epoch " +
+                                std::to_string(stage.epoch));
+  }
+  ++activity_.saved;
+  activity_.bytes_written += static_cast<std::size_t>(snapshot_size(sections));
   if (options_.stop_after_epoch == ordinal) {
     throw CheckpointInterrupted("simulated crash after epoch " +
                                 std::to_string(stage.epoch));
@@ -487,11 +372,8 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
 
   for (const auto& [index, path] : candidates) {
     try {
-      DecodedSnapshot decoded = decode_snapshot(read_file(path));
-      if (decoded.stage != Stage::kEpoch) {
-        throw ParseError("snapshot: epoch file contains stage " +
-                         std::string{stage_name(decoded.stage)});
-      }
+      const std::vector<std::uint8_t> bytes = read_file(path);
+      const DecodedSnapshot decoded = decode_snapshot(bytes);
       if (decoded.fingerprint != fingerprint_) {
         quarantine(path, /*stale=*/true);
         continue;
@@ -518,12 +400,11 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
       stage.epm.m = decode_section(decoded.sections, "mu", read_epm_result);
       stage.behavioral =
           decode_section(decoded.sections, "behavioral", read_behavioral_view);
-      stage.ingest_blob = find_section(decoded.sections, "ingest").payload;
-      stage.e_counts = find_section(decoded.sections, "epsilon-counts").payload;
-      stage.p_counts = find_section(decoded.sections, "pi-counts").payload;
-      stage.m_counts = find_section(decoded.sections, "mu-counts").payload;
-      stage.signature_blob =
-          find_section(decoded.sections, "signatures").payload;
+      stage.ingest_blob = section_blob(decoded.sections, "ingest");
+      stage.e_counts = section_blob(decoded.sections, "epsilon-counts");
+      stage.p_counts = section_blob(decoded.sections, "pi-counts");
+      stage.m_counts = section_blob(decoded.sections, "mu-counts");
+      stage.signature_blob = section_blob(decoded.sections, "signatures");
       stage.database.db.check_consistency();
       ++activity_.restored;
       return stage;
@@ -532,33 +413,6 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
     }
     quarantine(path, /*stale=*/false);
   }
-  return std::nullopt;
-}
-
-std::optional<analysis::BehavioralView> CheckpointStore::load_behavioral(
-    cluster::BackendKind expected) {
-  const auto sections = load_stage(Stage::kBehavioral);
-  if (!sections.has_value()) return std::nullopt;
-  const std::string path =
-      (fs::path{options_.directory} / stage_filename(Stage::kBehavioral))
-          .string();
-  try {
-    const cluster::BackendKind backend =
-        decode_section(*sections, "behavioral-meta", [](ByteReader& reader) {
-          return cluster::backend_kind_from_tag(reader.u8());
-        });
-    if (backend != expected) {
-      // Produced by another backend: stale by configuration, exactly
-      // like a fingerprint mismatch — quarantine and recompute.
-      quarantine(path, /*stale=*/true);
-      --activity_.restored;
-      return std::nullopt;
-    }
-    return decode_section(*sections, "behavioral", read_behavioral_view);
-  } catch (const ParseError&) {
-  }
-  quarantine(path, /*stale=*/false);
-  --activity_.restored;
   return std::nullopt;
 }
 

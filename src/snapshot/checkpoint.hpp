@@ -1,19 +1,20 @@
-// Crash-safe pipeline checkpoints.
+// Crash-safe epoch checkpoints.
 //
-// A CheckpointStore persists the state crossing each stage boundary of
-// the paper pipeline as one snapshot file per stage. The container
-// format is versioned and checksummed end to end (per-section CRC-32
-// plus a whole-file CRC trailer), writes are atomic (temp file, fsync,
-// rename, directory fsync), and every snapshot embeds a fingerprint of
-// the producing ScenarioOptions so checkpoints of a *different*
-// configuration are rejected as stale instead of silently reused. A
-// load never fails the caller: corrupt, truncated or stale files are
-// quarantined (renamed aside) and the stage is simply recomputed, so a
-// run killed at any point — including mid-write — resumes to output
-// byte-identical to an uninterrupted run.
+// A CheckpointStore persists the complete pipeline state at an epoch
+// boundary of the epoch loop (scenario/stream) as one snapshot file per
+// cut. The container format is versioned and checksummed end to end
+// (per-section CRC-32 plus a whole-file CRC trailer), writes are atomic
+// (temp file, fsync, rename, directory fsync), and every snapshot
+// embeds a fingerprint of the producing ScenarioOptions so cuts of a
+// *different* configuration are rejected as stale instead of silently
+// reused. A load never fails the caller: corrupt, truncated or stale
+// files are quarantined (renamed aside) and the loop recomputes from
+// an older cut or from scratch, so a run killed at any point —
+// including mid-write — resumes to output byte-identical to an
+// uninterrupted run.
 //
 // File layout (all little-endian, via util/byteio):
-//   [magic u32][format version u32][stage u8][fingerprint u64]
+//   [magic u32][format version u32][kind u8 = 5][fingerprint u64]
 //   [section count u32]
 //   per section: [name len u32][name][payload len u64][payload]
 //                [payload crc32 u32]
@@ -35,7 +36,6 @@
 #include "fault/injector.hpp"
 #include "honeypot/database.hpp"
 #include "honeypot/enrichment.hpp"
-#include "malware/landscape.hpp"
 
 namespace repro::snapshot {
 
@@ -43,53 +43,43 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x53'47'4e'53;  // "SNGS"
 inline constexpr std::uint32_t kSnapshotEndMagic = 0x44'4e'45'53;  // "SEND"
 // Version 2: FaultReport gained the four checked-decision counters.
 // Version 3: FaultReport gained the five ingest-delivery counters and
-// the epoch stage was added for the streaming ingest loop.
-// Version 4: the epoch stage gained the incremental-clustering state
+// the epoch cut was added for the streaming ingest loop.
+// Version 4: the epoch cut gained the incremental-clustering state
 // sections (per-dimension EPM counting blobs + the MinHash signature
 // store).
-// Version 5: the behavioral stage and the epoch meta stamp the
-// producing cluster backend, so a partition computed by one backend
-// can never silently seed another.
-// Older files are quarantined as unreadable and their stages
+// Version 5: the epoch meta stamps the producing cluster backend, so a
+// partition computed by one backend can never silently seed another.
+// Older files are quarantined as unreadable and their epochs
 // recomputed — the normal graceful-degradation path, not an error.
 inline constexpr std::uint32_t kSnapshotVersion = 5;
 
-/// The pipeline's checkpointable stage boundaries, in execution order.
-enum class Stage : std::uint8_t {
-  kLandscape = 1,   // ground truth built
-  kDatabase = 2,    // deployment run + enrichment done
-  kEpm = 3,         // E/P/M clustering done
-  kBehavioral = 4,  // behavioral clustering done
-  kEpoch = 5,       // streaming ingest epoch cut (full pipeline state)
-};
-
-[[nodiscard]] std::string_view stage_name(Stage stage);
-/// Snapshot file name for a stage, e.g. "stage2-database.snap".
-[[nodiscard]] std::string stage_filename(Stage stage);
-/// Snapshot file name for a streaming epoch cut, e.g. "epoch-0003.snap".
+/// Snapshot file name for an epoch cut, e.g. "epoch-0003.snap".
 [[nodiscard]] std::string epoch_filename(std::uint64_t epoch);
 
-/// One named payload inside a snapshot file.
-struct Section {
-  std::string name;
-  std::vector<std::uint8_t> payload;
+/// One named payload inside a snapshot file. Borrows its name and
+/// payload: a cut is written without copying its state into the
+/// container first, and decoded without copying sections out of the
+/// file buffer.
+struct SectionView {
+  std::string_view name;
+  std::span<const std::uint8_t> payload;
 };
 
-/// Serializes sections into the container format described above.
+/// Serializes sections into the container format described above —
+/// byte for byte what CheckpointStore::save_epoch streams to disk.
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
-    Stage stage, std::uint64_t fingerprint,
-    const std::vector<Section>& sections);
+    std::uint64_t fingerprint, std::span<const SectionView> sections);
 
-/// Parsed container header + sections.
+/// Parsed container header + sections; the sections point into the
+/// decoded bytes, which must outlive them.
 struct DecodedSnapshot {
-  Stage stage = Stage::kLandscape;
   std::uint64_t fingerprint = 0;
-  std::vector<Section> sections;
+  std::vector<SectionView> sections;
 };
 
-/// Validates magic, version, stage range, section structure and every
-/// CRC. Throws ParseError on any deviation — a truncated file or a
-/// single flipped bit never decodes.
+/// Validates magic, version, kind, section structure and every CRC.
+/// Throws ParseError on any deviation — a truncated file or a single
+/// flipped bit never decodes. The result borrows from `bytes`.
 [[nodiscard]] DecodedSnapshot decode_snapshot(
     std::span<const std::uint8_t> bytes);
 
@@ -110,49 +100,46 @@ struct CheckpointOptions {
   /// Directory the snapshots live in; empty disables checkpointing.
   /// Created on first use.
   std::string directory;
-  /// Test seam: throw CheckpointInterrupted right after the stage with
-  /// this number has been durably saved (0 = never). Simulates a crash
-  /// between stages.
-  int stop_after_stage = 0;
-  /// Test seam: abandon the temp file halfway through writing stage N
-  /// and throw CheckpointInterrupted (0 = never). Simulates a crash
-  /// mid-write; the partial ".tmp" must never be mistaken for a
-  /// snapshot on resume.
-  int short_write_stage = 0;
-  /// Same two seams for the streaming epoch loop, keyed by 1-based
-  /// epoch ordinal (epoch index + 1; 0 = never).
+  /// Test seam: throw CheckpointInterrupted right after the cut of this
+  /// 1-based epoch ordinal (epoch index + 1) is durable (0 = never).
+  /// Simulates a crash between epochs.
   int stop_after_epoch = 0;
+  /// Test seam: abandon the temp file halfway through writing the cut
+  /// of this epoch ordinal and throw CheckpointInterrupted (0 = never).
+  /// Simulates a crash mid-write; the partial ".tmp" must never be
+  /// mistaken for a snapshot on resume.
   int short_write_epoch = 0;
 };
 
-/// Post-deployment state bundled into the stage-2 snapshot. The fault
-/// report must travel with the database: on resume the injector is
-/// never re-exercised, so the counters can only come from the snapshot.
+/// Post-enrichment state carried by an epoch cut. The fault report must
+/// travel with the database: on resume the injector is never
+/// re-exercised for the covered records, so the counters can only come
+/// from the cut.
 struct DatabaseStage {
   honeypot::EventDatabase db;
   honeypot::EnrichmentStats enrichment;
   fault::FaultReport fault_report;
 };
 
-/// The three clustering results of the stage-3 snapshot.
+/// The three EPM clustering results of an epoch cut.
 struct EpmStage {
   cluster::EpmResult e;
   cluster::EpmResult p;
   cluster::EpmResult m;
 };
 
-/// One streaming epoch cut: the complete pipeline state after the
-/// first `wal_records` WAL records were replayed and re-clustered.
-/// `wal_records` — not the epoch index — is what resume keys on, so a
-/// cut stays usable even if the run is restarted with a different
-/// `--epochs` split.
+/// One epoch cut: the complete pipeline state after the first
+/// `wal_records` records of the event stream were ingested and
+/// clustered. `wal_records` — not the epoch index — is what resume keys
+/// on, so a cut stays usable even if the run is restarted with a
+/// different `--epochs` split.
 struct EpochStage {
   std::uint64_t epoch = 0;        // 0-based epoch index that was cut
   std::uint64_t wal_records = 0;  // records covered by this state
   /// Backend that produced `behavioral`. The scenario fingerprint
   /// deliberately excludes the backend (everything else in a cut is
-  /// backend-independent), so this tag is what stops an incremental
-  /// resume from seeding one backend with another's partition.
+  /// backend-independent), so this tag is what stops a resume from
+  /// seeding one backend with another's partition.
   cluster::BackendKind b_backend = cluster::BackendKind::kLsh;
   DatabaseStage database;
   EpmStage epm;
@@ -180,38 +167,19 @@ class CheckpointStore {
     return !options_.directory.empty();
   }
 
-  void save_landscape(const malware::Landscape& landscape);
-  [[nodiscard]] std::optional<malware::Landscape> load_landscape();
-
-  void save_database(const DatabaseStage& stage);
-  [[nodiscard]] std::optional<DatabaseStage> load_database();
-
-  void save_epm(const EpmStage& stage);
-  [[nodiscard]] std::optional<EpmStage> load_epm();
-
-  /// The behavioral stage travels with the backend that produced it.
-  void save_behavioral(const analysis::BehavioralView& view,
-                       cluster::BackendKind backend);
-  /// Loads the behavioral stage iff it was produced by `expected`; a
-  /// tag mismatch quarantines the file as stale (like a fingerprint
-  /// mismatch) so the caller recomputes instead of silently reusing a
-  /// partition from another backend.
-  [[nodiscard]] std::optional<analysis::BehavioralView> load_behavioral(
-      cluster::BackendKind expected);
-
-  /// Durably writes one epoch cut to its own "epoch-NNNN.snap" file.
+  /// Durably writes one epoch cut to its own "epoch-NNNN.snap" file,
+  /// streaming the container straight from the encoded sections (no
+  /// file-sized staging buffer). No-op when disabled.
   void save_epoch(const EpochStage& stage);
   /// Newest valid epoch cut, scanning epoch files in descending index
-  /// order; corrupt/stale files are quarantined and skipped, exactly
-  /// like the stage loads above.
+  /// order; corrupt/stale files are quarantined and skipped.
   [[nodiscard]] std::optional<EpochStage> load_latest_epoch();
 
   /// What the store did this run — lets callers (and tests) see whether
-  /// a stage was restored or recomputed, and whether files were thrown
-  /// out.
+  /// a cut was restored, and whether files were thrown out.
   struct Activity {
     std::size_t saved = 0;          // snapshots durably written
-    std::size_t restored = 0;       // stages loaded from disk
+    std::size_t restored = 0;       // cuts loaded from disk
     std::size_t quarantined = 0;    // corrupt/truncated files set aside
     std::size_t stale = 0;          // of quarantined: fingerprint mismatch
     std::size_t bytes_written = 0;  // encoded snapshot bytes persisted
@@ -221,11 +189,6 @@ class CheckpointStore {
   }
 
  private:
-  void save_file(const std::string& filename, Stage stage,
-                 const std::vector<Section>& sections, bool short_write,
-                 const std::string& crash_label);
-  void save_stage(Stage stage, const std::vector<Section>& sections);
-  [[nodiscard]] std::optional<std::vector<Section>> load_stage(Stage stage);
   void quarantine(const std::string& path, bool stale);
 
   CheckpointOptions options_;

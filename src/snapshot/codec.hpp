@@ -1,9 +1,10 @@
-// Binary codecs for the pipeline's stage-boundary state.
+// Binary codecs for the state an epoch cut carries.
 //
-// Every structure that crosses a stage boundary of the paper pipeline
-// (ground-truth landscape, event database with enrichment, EPM results,
-// behavioral view, fault accounting) serializes to the little-endian
-// ByteWriter format and restores from a bounds-checked ByteReader.
+// Every structure a checkpoint persists (event database with
+// enrichment, EPM results, behavioral view, fault accounting) — and
+// the single attack events of the ingest WAL — serializes to the
+// little-endian ByteWriter format and restores from a bounds-checked
+// ByteReader.
 // Decoders validate enum ranges, optional flags and cross-references
 // and throw ParseError on anything malformed — never UB, never a
 // logic_error — so a corrupted snapshot that slipped past the container
@@ -19,15 +20,9 @@
 #include "fault/injector.hpp"
 #include "honeypot/database.hpp"
 #include "honeypot/enrichment.hpp"
-#include "malware/landscape.hpp"
 #include "util/byteio.hpp"
 
 namespace repro::snapshot {
-
-// --- Ground truth -----------------------------------------------------------
-
-void write_landscape(ByteWriter& writer, const malware::Landscape& landscape);
-[[nodiscard]] malware::Landscape read_landscape(ByteReader& reader);
 
 // --- Observed dataset -------------------------------------------------------
 

@@ -5,6 +5,12 @@
 // controlled by definition, so these paths are the library's security
 // boundary.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
 
 #include "io/csv_import.hpp"
 #include "pe/builder.hpp"
@@ -12,8 +18,10 @@
 #include "pe/parser.hpp"
 #include "proto/gamma.hpp"
 #include "proto/region.hpp"
+#include "scenario/paper.hpp"
 #include "shellcode/analyzer.hpp"
 #include "shellcode/builder.hpp"
+#include "snapshot/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
@@ -164,6 +172,120 @@ TEST_P(FuzzSeed, HexAndDateParsersSurviveJunk) {
     } catch (const ParseError&) {
     }
   }
+}
+
+/// A real epoch cut (scale 0.05, the one-shot build's only cut), read
+/// back once per process, plus the fingerprint it was written under.
+struct RealCut {
+  std::uint64_t fingerprint = 0;
+  std::vector<std::uint8_t> bytes;
+};
+
+const RealCut& real_cut() {
+  static const RealCut cut = [] {
+    namespace fs = std::filesystem;
+    // Per process: ctest runs the seeds as concurrent processes.
+    const fs::path dir = fs::path{testing::TempDir()} /
+                         ("fuzz-real-cut-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    scenario::ScenarioOptions options;
+    options.scale = 0.05;
+    options.checkpoint.directory = dir.string();
+    (void)scenario::build_paper_dataset(options);
+    std::ifstream in{dir / snapshot::epoch_filename(0), std::ios::binary};
+    RealCut real;
+    real.fingerprint = scenario::scenario_fingerprint(options);
+    real.bytes.assign(std::istreambuf_iterator<char>{in},
+                      std::istreambuf_iterator<char>{});
+    fs::remove_all(dir);
+    return real;
+  }();
+  return cut;
+}
+
+/// Damages one of `payloads` — a truncation, a bit flip, or a huge
+/// little-endian u64 count — near its start half of the time (where the
+/// structural fields live) and anywhere otherwise.
+void damage_section(std::vector<std::vector<std::uint8_t>>& payloads,
+                    Rng& rng) {
+  std::vector<std::uint8_t>& payload = payloads[rng.index(payloads.size())];
+  if (payload.empty()) {
+    payload.push_back(static_cast<std::uint8_t>(rng.uniform(0, 255)));
+    return;
+  }
+  const std::size_t span =
+      rng.chance(0.5) ? std::min<std::size_t>(payload.size(), 512)
+                      : payload.size();
+  const std::size_t at = rng.index(span);
+  switch (rng.index(3)) {
+    case 0:  // truncation
+      payload.resize(at);
+      break;
+    case 1:  // bit flip
+      payload[at] ^= static_cast<std::uint8_t>(1u << rng.index(8));
+      break;
+    case 2: {  // huge count
+      const std::uint64_t huge =
+          rng.chance(0.5) ? ~std::uint64_t{0}
+                          : (std::uint64_t{1} << (32 + rng.index(31)));
+      for (std::size_t b = 0; b < 8 && at + b < payload.size(); ++b) {
+        payload[at + b] = static_cast<std::uint8_t>(huge >> (8 * b));
+      }
+      break;
+    }
+  }
+}
+
+TEST_P(FuzzSeed, EpochCutLoaderSurvivesMutations) {
+  // The epoch-cut loader is the only decoder of checkpoint bytes. For
+  // any damage it must return a cut or quarantine the file — never
+  // crash, never let an error escape. Raw mutations exercise the CRC
+  // layer; payload mutations are re-wrapped with valid CRCs so the
+  // section decoders below it see them too.
+  namespace fs = std::filesystem;
+  Rng rng{static_cast<std::uint64_t>(GetParam()) * 7919 + 17};
+  const RealCut& real = real_cut();
+  ASSERT_FALSE(real.bytes.empty());
+  const fs::path dir = fs::path{testing::TempDir()} /
+                       ("fuzz-cut-" + std::to_string(GetParam()));
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<std::uint8_t> bytes;
+    if (trial % 3 == 0) {
+      bytes = mutate(real.bytes, rng, 1 + static_cast<int>(rng.index(4)));
+    } else {
+      std::vector<snapshot::SectionView> sections =
+          snapshot::decode_snapshot(real.bytes).sections;
+      std::vector<std::vector<std::uint8_t>> payloads;
+      for (const snapshot::SectionView& section : sections) {
+        payloads.emplace_back(section.payload.begin(), section.payload.end());
+      }
+      damage_section(payloads, rng);
+      for (std::size_t i = 0; i < sections.size(); ++i) {
+        sections[i].payload = payloads[i];
+      }
+      bytes = snapshot::encode_snapshot(real.fingerprint, sections);
+    }
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path path = dir / snapshot::epoch_filename(0);
+    {
+      std::ofstream out{path, std::ios::binary};
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    snapshot::CheckpointStore store{
+        snapshot::CheckpointOptions{dir.string()}, real.fingerprint};
+    std::optional<snapshot::EpochStage> cut;
+    EXPECT_NO_THROW(cut = store.load_latest_epoch()) << "trial " << trial;
+    if (cut.has_value()) {
+      EXPECT_TRUE(fs::exists(path));
+      EXPECT_NO_THROW(cut->database.db.check_consistency());
+    } else {
+      EXPECT_EQ(store.activity().quarantined, 1u) << "trial " << trial;
+      EXPECT_FALSE(fs::exists(path));
+    }
+  }
+  fs::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed, ::testing::Range(0, 8));

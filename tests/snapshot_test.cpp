@@ -1,12 +1,15 @@
 // Tests for the snapshot subsystem: codec round-trips, container
-// integrity (CRC, truncation, bit flips), checkpoint durability and the
-// kill-resume guarantee (a run interrupted anywhere resumes to output
-// byte-identical to an uninterrupted run).
+// integrity (CRC, truncation, bit flips), epoch-cut durability and the
+// kill-resume guarantee of the one-shot build (a run interrupted
+// anywhere resumes to output byte-identical to an uninterrupted run).
+// The multi-epoch WAL-backed side of the same protocol is pinned by
+// tests/stream_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -99,10 +102,6 @@ void expect_roundtrip(const T& value, WriteFn write, ReadFn read) {
   ByteWriter again;
   write(again, decoded);
   EXPECT_EQ(again.data(), first);
-}
-
-TEST(Codec, LandscapeRoundTripsByteExactly) {
-  expect_roundtrip(dataset().landscape, write_landscape, read_landscape);
 }
 
 TEST(Codec, DatabaseRoundTripsByteExactly) {
@@ -202,18 +201,6 @@ TEST(Codec, TruncatedPayloadThrowsParseError) {
   }
 }
 
-TEST(Codec, TruncatedLandscapeNeverCrashes) {
-  ByteWriter writer;
-  write_landscape(writer, dataset().landscape);
-  const std::vector<std::uint8_t>& full = writer.data();
-  // Sparse sweep over a multi-hundred-KB payload.
-  for (std::size_t cut = 0; cut < full.size();
-       cut = cut * 2 + 13) {
-    ByteReader reader{std::span{full}.first(cut)};
-    EXPECT_THROW((void)read_landscape(reader), ParseError);
-  }
-}
-
 TEST(Codec, CorruptedPayloadFailsSafely) {
   // Direct codec fuzz *below* the CRC layer: a flipped byte may decode
   // to different content, but it must never crash and may only ever
@@ -235,31 +222,34 @@ TEST(Codec, CorruptedPayloadFailsSafely) {
 
 // --- Container format -------------------------------------------------------
 
-std::vector<Section> sample_sections() {
-  return {Section{"alpha", {1, 2, 3, 4, 5}},
-          Section{"beta", {}},
-          Section{"gamma", {0xff, 0x00, 0x7f}}};
+const std::vector<std::uint8_t> kAlpha{1, 2, 3, 4, 5};
+const std::vector<std::uint8_t> kGamma{0xff, 0x00, 0x7f};
+
+std::vector<SectionView> sample_sections() {
+  return {SectionView{"alpha", kAlpha}, SectionView{"beta", {}},
+          SectionView{"gamma", kGamma}};
 }
 
 TEST(Container, RoundTripPreservesSections) {
   const std::vector<std::uint8_t> bytes =
-      encode_snapshot(Stage::kEpm, 0xfeedbeefULL, sample_sections());
+      encode_snapshot(0xfeedbeefULL, sample_sections());
   const DecodedSnapshot decoded = decode_snapshot(bytes);
-  EXPECT_EQ(decoded.stage, Stage::kEpm);
   EXPECT_EQ(decoded.fingerprint, 0xfeedbeefULL);
   ASSERT_EQ(decoded.sections.size(), 3u);
+  const auto payload = [&](std::size_t i) {
+    return std::vector<std::uint8_t>(decoded.sections[i].payload.begin(),
+                                     decoded.sections[i].payload.end());
+  };
   EXPECT_EQ(decoded.sections[0].name, "alpha");
-  EXPECT_EQ(decoded.sections[0].payload,
-            (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(payload(0), kAlpha);
   EXPECT_EQ(decoded.sections[1].name, "beta");
   EXPECT_TRUE(decoded.sections[1].payload.empty());
-  EXPECT_EQ(decoded.sections[2].payload,
-            (std::vector<std::uint8_t>{0xff, 0x00, 0x7f}));
+  EXPECT_EQ(payload(2), kGamma);
 }
 
 TEST(Container, EveryTruncationIsRejected) {
   const std::vector<std::uint8_t> bytes =
-      encode_snapshot(Stage::kDatabase, 42, sample_sections());
+      encode_snapshot(42, sample_sections());
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     EXPECT_THROW((void)decode_snapshot(std::span{bytes}.first(cut)),
                  ParseError)
@@ -268,8 +258,7 @@ TEST(Container, EveryTruncationIsRejected) {
 }
 
 TEST(Container, EverySingleBitFlipIsRejected) {
-  const std::vector<std::uint8_t> bytes =
-      encode_snapshot(Stage::kLandscape, 7, sample_sections());
+  const std::vector<std::uint8_t> bytes = encode_snapshot(7, sample_sections());
   for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<std::uint8_t> mutated = bytes;
@@ -280,56 +269,135 @@ TEST(Container, EverySingleBitFlipIsRejected) {
   }
 }
 
-TEST(Container, RejectsWrongVersion) {
-  std::vector<std::uint8_t> bytes =
-      encode_snapshot(Stage::kLandscape, 7, sample_sections());
-  // Bump the version field (offset 4) and fix up the trailer CRC so
-  // only the version check can object.
-  bytes[4] = 9;
-  const std::uint32_t fixed =
-      crc32(std::span{bytes}.first(bytes.size() - 8));
+/// Rewrites the trailer CRC so only the structural checks can object.
+void fix_trailer(std::vector<std::uint8_t>& bytes) {
+  const std::uint32_t fixed = crc32(std::span{bytes}.first(bytes.size() - 8));
   for (int i = 0; i < 4; ++i) {
     bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(fixed >> (8 * i));
   }
+}
+
+TEST(Container, RejectsWrongVersion) {
+  std::vector<std::uint8_t> bytes = encode_snapshot(7, sample_sections());
+  bytes[4] = 9;  // the version field
+  fix_trailer(bytes);
   EXPECT_THROW((void)decode_snapshot(bytes), ParseError);
+}
+
+TEST(Container, RejectsRetiredStageKinds) {
+  // Kinds 1-4 were the per-stage snapshots of the retired batch
+  // protocol; only epoch cuts (kind 5) decode.
+  for (const int kind : {1, 2, 3, 4, 6}) {
+    std::vector<std::uint8_t> bytes = encode_snapshot(7, sample_sections());
+    bytes[8] = static_cast<std::uint8_t>(kind);
+    fix_trailer(bytes);
+    EXPECT_THROW((void)decode_snapshot(bytes), ParseError) << kind;
+  }
 }
 
 // --- CheckpointStore --------------------------------------------------------
 
+/// An epoch cut holding the shared dataset's state.
+EpochStage sample_cut(std::uint64_t epoch = 0) {
+  EpochStage stage;
+  stage.epoch = epoch;
+  stage.wal_records = dataset().db.events().size();
+  stage.database.db = dataset().db;
+  stage.database.enrichment = dataset().enrichment;
+  stage.database.fault_report = dataset().fault_report;
+  stage.epm.e = dataset().e;
+  stage.epm.p = dataset().p;
+  stage.epm.m = dataset().m;
+  stage.behavioral = dataset().b;
+  stage.ingest_blob = {1, 0, 0, 0};
+  stage.signature_blob = {9, 8, 7};
+  return stage;
+}
+
+std::vector<std::uint8_t> read_bytes(const fs::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+void flip_byte_at(const fs::path& path, std::uintmax_t offset, char value) {
+  std::fstream file{path, std::ios::in | std::ios::out | std::ios::binary};
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.put(value);
+}
+
 TEST(Store, DisabledStoreIsInert) {
   CheckpointStore store{CheckpointOptions{}, 1};
   EXPECT_FALSE(store.enabled());
-  store.save_landscape(dataset().landscape);
-  EXPECT_FALSE(store.load_landscape().has_value());
+  store.save_epoch(sample_cut());
+  EXPECT_FALSE(store.load_latest_epoch().has_value());
   EXPECT_EQ(store.activity().saved, 0u);
 }
 
 TEST(Store, SaveThenLoadRestores) {
   const fs::path dir = fresh_dir("save-load");
   CheckpointStore writer{CheckpointOptions{dir.string()}, 99};
-  writer.save_landscape(dataset().landscape);
-  EXPECT_TRUE(fs::exists(dir / stage_filename(Stage::kLandscape)));
+  writer.save_epoch(sample_cut());
+  EXPECT_TRUE(fs::exists(dir / epoch_filename(0)));
+  EXPECT_EQ(writer.activity().bytes_written, fs::file_size(dir / epoch_filename(0)));
 
   CheckpointStore reader{CheckpointOptions{dir.string()}, 99};
-  const auto loaded = reader.load_landscape();
+  const auto loaded = reader.load_latest_epoch();
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->variants.size(), dataset().landscape.variants.size());
+  EXPECT_EQ(loaded->wal_records, dataset().db.events().size());
+  EXPECT_EQ(loaded->database.db.samples().size(),
+            dataset().db.samples().size());
+  EXPECT_EQ(loaded->epm.m.cluster_count(), dataset().m.cluster_count());
+  EXPECT_EQ(loaded->ingest_blob, (std::vector<std::uint8_t>{1, 0, 0, 0}));
+  EXPECT_EQ(loaded->signature_blob, (std::vector<std::uint8_t>{9, 8, 7}));
+  EXPECT_TRUE(loaded->e_counts.empty());
   EXPECT_EQ(reader.activity().restored, 1u);
+}
+
+TEST(Store, StreamedCutEqualsEncodedSnapshot) {
+  // save_epoch streams the container section by section with an
+  // incremental file CRC; the bytes on disk must be exactly what
+  // encode_snapshot produces for the same sections.
+  const fs::path dir = fresh_dir("streamed");
+  CheckpointStore writer{CheckpointOptions{dir.string()}, 1234};
+  writer.save_epoch(sample_cut());
+  const std::vector<std::uint8_t> on_disk = read_bytes(dir / epoch_filename(0));
+  EXPECT_EQ(encode_snapshot(1234, decode_snapshot(on_disk).sections), on_disk);
+  EXPECT_FALSE(fs::exists(dir / (epoch_filename(0) + ".tmp")));
+}
+
+TEST(Store, NewestValidCutWinsAndDamagedOnesAreSkipped) {
+  const fs::path dir = fresh_dir("newest");
+  CheckpointStore writer{CheckpointOptions{dir.string()}, 5};
+  writer.save_epoch(sample_cut(0));
+  writer.save_epoch(sample_cut(1));
+  {
+    CheckpointStore reader{CheckpointOptions{dir.string()}, 5};
+    const auto loaded = reader.load_latest_epoch();
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->epoch, 1u);
+  }
+  const fs::path newest = dir / epoch_filename(1);
+  flip_byte_at(newest, fs::file_size(newest) / 2, '\x33');
+  CheckpointStore reader{CheckpointOptions{dir.string()}, 5};
+  const auto loaded = reader.load_latest_epoch();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->epoch, 0u);
+  EXPECT_EQ(reader.activity().quarantined, 1u);
+  EXPECT_FALSE(fs::exists(newest));
 }
 
 TEST(Store, StaleFingerprintIsQuarantinedNotLoaded) {
   const fs::path dir = fresh_dir("stale");
   CheckpointStore writer{CheckpointOptions{dir.string()}, 1000};
-  writer.save_landscape(dataset().landscape);
+  writer.save_epoch(sample_cut());
 
   CheckpointStore reader{CheckpointOptions{dir.string()}, 2000};
-  EXPECT_FALSE(reader.load_landscape().has_value());
+  EXPECT_FALSE(reader.load_latest_epoch().has_value());
   EXPECT_EQ(reader.activity().stale, 1u);
   EXPECT_EQ(reader.activity().quarantined, 1u);
-  EXPECT_FALSE(fs::exists(dir / stage_filename(Stage::kLandscape)));
-  EXPECT_TRUE(fs::exists(
-      dir / (stage_filename(Stage::kLandscape) + ".quarantined")));
+  EXPECT_FALSE(fs::exists(dir / epoch_filename(0)));
+  EXPECT_TRUE(fs::exists(dir / (epoch_filename(0) + ".quarantined")));
 }
 
 TEST(Store, RepeatedQuarantinesKeepEveryPieceOfEvidence) {
@@ -337,7 +405,7 @@ TEST(Store, RepeatedQuarantinesKeepEveryPieceOfEvidence) {
   // second stale/corrupt file silently overwrote the evidence of the
   // first. unique_quarantine_path must probe "-2", "-3", ... instead.
   const fs::path dir = fresh_dir("quarantine-unique");
-  const fs::path path = dir / stage_filename(Stage::kLandscape);
+  const fs::path path = dir / epoch_filename(0);
   EXPECT_EQ(unique_quarantine_path(path.string()),
             path.string() + ".quarantined");
   { std::ofstream out{path.string() + ".quarantined"}; }
@@ -347,13 +415,13 @@ TEST(Store, RepeatedQuarantinesKeepEveryPieceOfEvidence) {
   EXPECT_EQ(unique_quarantine_path(path.string()),
             path.string() + ".quarantined-3");
 
-  // End to end: two stale snapshots quarantined back to back land in
+  // End to end: two stale cuts quarantined back to back land in
   // distinct files.
   for (int round = 0; round < 2; ++round) {
     CheckpointStore writer{CheckpointOptions{dir.string()}, 1000};
-    writer.save_landscape(dataset().landscape);
+    writer.save_epoch(sample_cut());
     CheckpointStore reader{CheckpointOptions{dir.string()}, 2000};
-    EXPECT_FALSE(reader.load_landscape().has_value());
+    EXPECT_FALSE(reader.load_latest_epoch().has_value());
   }
   EXPECT_TRUE(fs::exists(path.string() + ".quarantined-3"));
   EXPECT_TRUE(fs::exists(path.string() + ".quarantined-4"));
@@ -362,17 +430,13 @@ TEST(Store, RepeatedQuarantinesKeepEveryPieceOfEvidence) {
 TEST(Store, CorruptFileIsQuarantinedNotLoaded) {
   const fs::path dir = fresh_dir("corrupt");
   CheckpointStore writer{CheckpointOptions{dir.string()}, 5};
-  writer.save_landscape(dataset().landscape);
+  writer.save_epoch(sample_cut());
 
-  // Flip one byte in the middle of the file.
-  const fs::path path = dir / stage_filename(Stage::kLandscape);
-  std::fstream file{path, std::ios::in | std::ios::out | std::ios::binary};
-  file.seekp(static_cast<std::streamoff>(fs::file_size(path) / 2));
-  file.put('\x7e');
-  file.close();
+  const fs::path path = dir / epoch_filename(0);
+  flip_byte_at(path, fs::file_size(path) / 2, '\x7e');
 
   CheckpointStore reader{CheckpointOptions{dir.string()}, 5};
-  EXPECT_FALSE(reader.load_landscape().has_value());
+  EXPECT_FALSE(reader.load_latest_epoch().has_value());
   EXPECT_EQ(reader.activity().quarantined, 1u);
   EXPECT_EQ(reader.activity().stale, 0u);
   EXPECT_FALSE(fs::exists(path));
@@ -381,116 +445,108 @@ TEST(Store, CorruptFileIsQuarantinedNotLoaded) {
 TEST(Store, GarbageFileIsQuarantinedNotLoaded) {
   const fs::path dir = fresh_dir("garbage");
   {
-    std::ofstream out{dir / stage_filename(Stage::kDatabase),
-                      std::ios::binary};
+    std::ofstream out{dir / epoch_filename(0), std::ios::binary};
     out << "not a snapshot at all";
   }
   CheckpointStore store{CheckpointOptions{dir.string()}, 5};
-  EXPECT_FALSE(store.load_database().has_value());
+  EXPECT_FALSE(store.load_latest_epoch().has_value());
   EXPECT_EQ(store.activity().quarantined, 1u);
 }
 
 // --- Kill-resume torture ----------------------------------------------------
 
-/// Runs the pipeline with the given kill seam, expecting it to die,
-/// then resumes in the same directory and returns the finished dataset.
-scenario::Dataset killed_then_resumed(const fs::path& dir,
-                                      int stop_after_stage,
-                                      int short_write_stage) {
-  scenario::ScenarioOptions killed = small_options();
-  killed.checkpoint.directory = dir.string();
-  killed.checkpoint.stop_after_stage = stop_after_stage;
-  killed.checkpoint.short_write_stage = short_write_stage;
+scenario::ScenarioOptions checkpointed(const fs::path& dir) {
+  scenario::ScenarioOptions options = small_options();
+  options.checkpoint.directory = dir.string();
+  return options;
+}
+
+TEST(Resume, KilledAfterTheCutResumesByteIdentical) {
+  const fs::path dir = fresh_dir("kill-after-cut");
+  scenario::ScenarioOptions killed = checkpointed(dir);
+  killed.checkpoint.stop_after_epoch = 1;
   EXPECT_THROW((void)scenario::build_paper_dataset(killed),
                CheckpointInterrupted);
 
-  scenario::ScenarioOptions resumed = small_options();
-  resumed.checkpoint.directory = dir.string();
-  return scenario::build_paper_dataset(resumed);
-}
-
-TEST(Resume, KilledAfterEachStageResumesByteIdentical) {
-  const std::string baseline = all_csv(dataset());
-  for (int stage = 1; stage <= 4; ++stage) {
-    const fs::path dir =
-        fresh_dir("kill-after-" + std::to_string(stage));
-    const scenario::Dataset resumed =
-        killed_then_resumed(dir, /*stop_after_stage=*/stage,
-                            /*short_write_stage=*/0);
-    EXPECT_EQ(all_csv(resumed), baseline) << "killed after stage " << stage;
-    // The stages completed before the kill were restored, not rebuilt.
-    EXPECT_EQ(resumed.checkpoint_activity.restored,
-              static_cast<std::size_t>(stage))
-        << "killed after stage " << stage;
-    EXPECT_EQ(resumed.fault_report.proxy_attempts,
-              dataset().fault_report.proxy_attempts);
-  }
+  const scenario::Dataset resumed =
+      scenario::build_paper_dataset(checkpointed(dir));
+  EXPECT_EQ(all_csv(resumed), all_csv(dataset()));
+  // The durable cut covers the whole stream, so it was restored, not
+  // rebuilt.
+  EXPECT_EQ(resumed.checkpoint_activity.restored, 1u);
+  EXPECT_EQ(resumed.checkpoint_activity.saved, 0u);
+  EXPECT_EQ(resumed.fault_report.proxy_attempts,
+            dataset().fault_report.proxy_attempts);
+  EXPECT_EQ(resumed.enrichment.executed, dataset().enrichment.executed);
 }
 
 TEST(Resume, KilledMidWriteResumesByteIdentical) {
-  const std::string baseline = all_csv(dataset());
-  for (int stage = 1; stage <= 4; ++stage) {
-    const fs::path dir = fresh_dir("kill-mid-" + std::to_string(stage));
-    const scenario::Dataset resumed =
-        killed_then_resumed(dir, /*stop_after_stage=*/0,
-                            /*short_write_stage=*/stage);
-    EXPECT_EQ(all_csv(resumed), baseline) << "killed mid-write of stage "
-                                          << stage;
-    // The interrupted stage only left a ".tmp" file, so everything
-    // before it was restored and it was recomputed.
-    EXPECT_EQ(resumed.checkpoint_activity.restored,
-              static_cast<std::size_t>(stage - 1))
-        << "killed mid-write of stage " << stage;
-  }
+  const fs::path dir = fresh_dir("kill-mid-write");
+  scenario::ScenarioOptions killed = checkpointed(dir);
+  killed.checkpoint.short_write_epoch = 1;
+  EXPECT_THROW((void)scenario::build_paper_dataset(killed),
+               CheckpointInterrupted);
+  EXPECT_TRUE(fs::exists(dir / (epoch_filename(0) + ".tmp")));
+  EXPECT_FALSE(fs::exists(dir / epoch_filename(0)));
+
+  // The interrupted cut only left a ".tmp" file, so the resume
+  // recomputes and writes the cut properly.
+  const scenario::Dataset resumed =
+      scenario::build_paper_dataset(checkpointed(dir));
+  EXPECT_EQ(all_csv(resumed), all_csv(dataset()));
+  EXPECT_EQ(resumed.checkpoint_activity.restored, 0u);
+  EXPECT_EQ(resumed.checkpoint_activity.saved, 1u);
+  EXPECT_EQ(resumed.checkpoint_activity.quarantined, 0u);
 }
 
 TEST(Resume, RepeatedKillsStillConverge) {
   const fs::path dir = fresh_dir("kill-repeat");
-  // Die after stage 1, then after stage 2 (resuming stage 1), then
-  // mid-write of stage 4 (resuming 1-3), then finish.
+  // Die mid-write twice, then right after the cut is durable, then
+  // finish from the cut.
   for (const auto& [stop, short_write] :
-       {std::pair{1, 0}, std::pair{2, 0}, std::pair{0, 4}}) {
-    scenario::ScenarioOptions options = small_options();
-    options.checkpoint.directory = dir.string();
-    options.checkpoint.stop_after_stage = stop;
-    options.checkpoint.short_write_stage = short_write;
+       {std::pair{0, 1}, std::pair{0, 1}, std::pair{1, 0}}) {
+    scenario::ScenarioOptions options = checkpointed(dir);
+    options.checkpoint.stop_after_epoch = stop;
+    options.checkpoint.short_write_epoch = short_write;
     EXPECT_THROW((void)scenario::build_paper_dataset(options),
                  CheckpointInterrupted);
   }
-  scenario::ScenarioOptions options = small_options();
-  options.checkpoint.directory = dir.string();
-  const scenario::Dataset resumed = scenario::build_paper_dataset(options);
+  const scenario::Dataset resumed =
+      scenario::build_paper_dataset(checkpointed(dir));
   EXPECT_EQ(all_csv(resumed), all_csv(dataset()));
+  EXPECT_EQ(resumed.checkpoint_activity.restored, 1u);
 }
 
 TEST(Resume, CompletedRunRestoresEverythingOnRerun) {
   const fs::path dir = fresh_dir("full-restore");
-  scenario::ScenarioOptions options = small_options();
-  options.checkpoint.directory = dir.string();
-  const scenario::Dataset first = scenario::build_paper_dataset(options);
-  EXPECT_EQ(first.checkpoint_activity.saved, 4u);
+  const scenario::Dataset first =
+      scenario::build_paper_dataset(checkpointed(dir));
+  EXPECT_EQ(first.checkpoint_activity.saved, 1u);
   EXPECT_EQ(first.checkpoint_activity.restored, 0u);
 
-  const scenario::Dataset second = scenario::build_paper_dataset(options);
-  EXPECT_EQ(second.checkpoint_activity.restored, 4u);
+  const scenario::Dataset second =
+      scenario::build_paper_dataset(checkpointed(dir));
+  EXPECT_EQ(second.checkpoint_activity.restored, 1u);
   EXPECT_EQ(second.checkpoint_activity.saved, 0u);
   EXPECT_EQ(all_csv(second), all_csv(dataset()));
+  // Nothing is ever written under the retired per-stage names.
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_TRUE(entry.path().filename().string().starts_with("epoch-"))
+        << entry.path();
+  }
 }
 
 TEST(Resume, DifferentOptionsRejectExistingCheckpoints) {
   const fs::path dir = fresh_dir("option-change");
-  scenario::ScenarioOptions options = small_options();
-  options.checkpoint.directory = dir.string();
-  (void)scenario::build_paper_dataset(options);
+  (void)scenario::build_paper_dataset(checkpointed(dir));
 
   // Same directory, different seed: nothing may be reused.
-  scenario::ScenarioOptions other = small_options();
+  scenario::ScenarioOptions other = checkpointed(dir);
   other.seed = 8;
-  other.checkpoint.directory = dir.string();
   const scenario::Dataset rebuilt = scenario::build_paper_dataset(other);
   EXPECT_EQ(rebuilt.checkpoint_activity.restored, 0u);
-  EXPECT_EQ(rebuilt.checkpoint_activity.stale, 4u);
-  EXPECT_EQ(rebuilt.checkpoint_activity.saved, 4u);
+  EXPECT_EQ(rebuilt.checkpoint_activity.stale, 1u);
+  EXPECT_EQ(rebuilt.checkpoint_activity.saved, 1u);
 
   scenario::ScenarioOptions baseline_other = small_options();
   baseline_other.seed = 8;
@@ -500,24 +556,42 @@ TEST(Resume, DifferentOptionsRejectExistingCheckpoints) {
 
 TEST(Resume, QuarantinedStageFallsBackToRecompute) {
   const fs::path dir = fresh_dir("quarantine-fallback");
-  scenario::ScenarioOptions options = small_options();
-  options.checkpoint.directory = dir.string();
-  (void)scenario::build_paper_dataset(options);
+  (void)scenario::build_paper_dataset(checkpointed(dir));
 
-  // Corrupt the stage-2 snapshot; stages 1, 3 and 4 stay intact.
-  const fs::path path = dir / stage_filename(Stage::kDatabase);
-  std::fstream file{path, std::ios::in | std::ios::out | std::ios::binary};
-  file.seekp(static_cast<std::streamoff>(fs::file_size(path) / 3));
-  file.put('\x55');
-  file.close();
+  const fs::path path = dir / epoch_filename(0);
+  flip_byte_at(path, fs::file_size(path) / 3, '\x55');
 
-  const scenario::Dataset resumed = scenario::build_paper_dataset(options);
+  const scenario::Dataset resumed =
+      scenario::build_paper_dataset(checkpointed(dir));
   EXPECT_EQ(resumed.checkpoint_activity.quarantined, 1u);
-  EXPECT_EQ(resumed.checkpoint_activity.restored, 3u);
-  EXPECT_EQ(resumed.checkpoint_activity.saved, 1u);  // stage 2 rewritten
+  EXPECT_EQ(resumed.checkpoint_activity.restored, 0u);
+  EXPECT_EQ(resumed.checkpoint_activity.saved, 1u);  // the cut rewritten
   EXPECT_EQ(all_csv(resumed), all_csv(dataset()));
 }
 
+TEST(Resume, CutFromAnotherBackendIsDeclinedAndRecomputed) {
+  // A partition produced by one backend must never silently stand in
+  // for another's. The one-shot build runs the full-recompute path,
+  // which declines the foreign cut (no quarantine: the file is sound)
+  // and recomputes.
+  const fs::path dir = fresh_dir("backend-mismatch");
+  (void)scenario::build_paper_dataset(checkpointed(dir));
+
+  scenario::ScenarioOptions exact = checkpointed(dir);
+  exact.b_backend = cluster::BackendKind::kExact;
+  const scenario::Dataset rebuilt = scenario::build_paper_dataset(exact);
+  EXPECT_EQ(rebuilt.checkpoint_activity.quarantined, 0u);
+  EXPECT_EQ(rebuilt.checkpoint_activity.saved, 1u);
+  scenario::ScenarioOptions plain_exact = small_options();
+  plain_exact.b_backend = cluster::BackendKind::kExact;
+  EXPECT_EQ(all_csv(rebuilt),
+            all_csv(scenario::build_paper_dataset(plain_exact)));
+
+  // The rewritten cut now carries the exact tag and resumes under it.
+  const scenario::Dataset again = scenario::build_paper_dataset(exact);
+  EXPECT_EQ(again.checkpoint_activity.saved, 0u);
+  EXPECT_EQ(all_csv(again), all_csv(rebuilt));
+}
 // --- Behavioral cluster-id validation (satellite bugfix) --------------------
 
 /// Hand-crafts the behavioral-view wire payload: rows 0..n-1 mapped to
@@ -577,50 +651,27 @@ TEST(Codec, BehavioralHugeIdIsRejectedNotAllocated) {
   EXPECT_THROW((void)read_behavioral_view(reader), ParseError);
 }
 
-// --- Backend tags on checkpoints (tentpole) ---------------------------------
+// --- Backend tags on epoch cuts ---------------------------------------------
 
 TEST(Store, BehavioralBackendTagRoundTrips) {
   const fs::path dir = fresh_dir("backend-tag");
   CheckpointStore writer{CheckpointOptions{dir.string()}, 42};
-  writer.save_behavioral(dataset().b, cluster::BackendKind::kLsh);
+  writer.save_epoch(sample_cut());
 
   CheckpointStore reader{CheckpointOptions{dir.string()}, 42};
-  const auto loaded = reader.load_behavioral(cluster::BackendKind::kLsh);
+  const auto loaded = reader.load_latest_epoch();
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->cluster_count(), dataset().b.cluster_count());
+  EXPECT_EQ(loaded->b_backend, cluster::BackendKind::kLsh);
+  EXPECT_EQ(loaded->behavioral.cluster_count(), dataset().b.cluster_count());
   EXPECT_EQ(reader.activity().restored, 1u);
-}
-
-TEST(Store, BehavioralBackendMismatchIsQuarantinedAsStale) {
-  // A partition produced by one backend must never silently seed a
-  // run that selected another — the tag mismatch is handled exactly
-  // like a stale fingerprint: quarantine and recompute.
-  const fs::path dir = fresh_dir("backend-mismatch");
-  CheckpointStore writer{CheckpointOptions{dir.string()}, 42};
-  writer.save_behavioral(dataset().b, cluster::BackendKind::kLsh);
-
-  CheckpointStore reader{CheckpointOptions{dir.string()}, 42};
-  EXPECT_FALSE(
-      reader.load_behavioral(cluster::BackendKind::kKmeans).has_value());
-  EXPECT_EQ(reader.activity().stale, 1u);
-  EXPECT_EQ(reader.activity().quarantined, 1u);
-  EXPECT_FALSE(fs::exists(dir / stage_filename(Stage::kBehavioral)));
 }
 
 TEST(Store, EpochBackendTagRoundTrips) {
   const fs::path dir = fresh_dir("epoch-backend-tag");
   CheckpointStore writer{CheckpointOptions{dir.string()}, 42};
-  EpochStage stage;
-  stage.epoch = 2;
+  EpochStage stage = sample_cut(2);
   stage.wal_records = 123;
   stage.b_backend = cluster::BackendKind::kKmeans;
-  stage.database.db = dataset().db;
-  stage.database.enrichment = dataset().enrichment;
-  stage.database.fault_report = dataset().fault_report;
-  stage.epm.e = dataset().e;
-  stage.epm.p = dataset().p;
-  stage.epm.m = dataset().m;
-  stage.behavioral = dataset().b;
   writer.save_epoch(stage);
 
   CheckpointStore reader{CheckpointOptions{dir.string()}, 42};

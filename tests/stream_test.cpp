@@ -604,6 +604,128 @@ TEST(Stream, OlderSnapshotVersionIsQuarantinedOnWarmResume) {
   EXPECT_TRUE(any_quarantined) << "old cuts must be set aside as evidence";
 }
 
+// --- One checkpoint protocol: runs with and without a WAL -------------------
+
+/// The one-shot build as the epoch loop runs it: one epoch, no WAL.
+StreamOptions without_wal() {
+  StreamOptions stream;
+  stream.epochs = 1;
+  stream.incremental = false;
+  return stream;
+}
+
+TEST(Stream, CutWithoutWalResumesUnderAWalBackedRun) {
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("cut-no-wal");
+  const StreamOptions stream = stream_under(root, options, 4);
+  const Dataset batch = build_paper_dataset(options);
+  EXPECT_EQ(batch.checkpoint_activity.saved, 1u);
+  EXPECT_EQ(batch.ingest.records_appended, 0u);  // no WAL, no ingest
+  EXPECT_EQ(all_csv(batch), batch_csv(true));
+
+  // The cut covers the whole stream: the WAL-backed run restores it,
+  // computes no epoch, and rebuilds its (empty) WAL from the
+  // regenerated records.
+  const Dataset resumed = build_streaming_dataset(options, stream);
+  EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
+  EXPECT_EQ(resumed.ingest.epochs_run, 0u);
+  EXPECT_EQ(all_csv(resumed), batch_csv(true));
+
+  // ...and that WAL is complete: a run from it alone converges too.
+  options.checkpoint.directory = (root / "ckpt-fresh").string();
+  const Dataset replayed = build_streaming_dataset(options, stream);
+  EXPECT_EQ(replayed.ingest.records_recovered, replayed.db.events().size());
+  EXPECT_EQ(all_csv(replayed), batch_csv(true));
+}
+
+TEST(Stream, WalBackedCutResumesUnderARunWithoutWal) {
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("cut-wal");
+  const StreamOptions stream = stream_under(root, options, 4);
+  (void)build_streaming_dataset(options, stream);
+
+  std::size_t computed = 0;
+  StreamOptions batch = without_wal();
+  batch.on_epoch = [&](const auto&, const auto&, const auto&, std::size_t) {
+    ++computed;
+  };
+  const Dataset resumed = build_streaming_dataset(options, batch);
+  EXPECT_EQ(computed, 0u);  // restored, not recomputed
+  EXPECT_EQ(resumed.checkpoint_activity.restored, 1u);
+  EXPECT_EQ(resumed.checkpoint_activity.saved, 0u);
+  EXPECT_EQ(all_csv(resumed), batch_csv(true));
+  EXPECT_EQ(all_csv(build_paper_dataset(options)), batch_csv(true));
+}
+
+TEST(Stream, PartialCutIsDeclinedWithoutWal) {
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("partial-cut");
+  const StreamOptions stream = stream_under(root, options, 4);
+  options.checkpoint.stop_after_epoch = 2;  // cut covers half the stream
+  EXPECT_THROW((void)build_streaming_dataset(options, stream),
+               snapshot::CheckpointInterrupted);
+  options.checkpoint.stop_after_epoch = 0;
+
+  // No WAL means no record source to continue from: the run declines
+  // the cut (it is sound, so nothing is quarantined) and recomputes the
+  // whole stream in its one epoch.
+  std::size_t computed = 0;
+  StreamOptions batch = without_wal();
+  batch.on_epoch = [&](const auto&, const auto&, const auto&,
+                       std::size_t epoch) {
+    ++computed;
+    EXPECT_EQ(epoch, 1u);
+  };
+  const Dataset ds = build_streaming_dataset(options, batch);
+  EXPECT_EQ(computed, 1u);
+  EXPECT_EQ(ds.checkpoint_activity.quarantined, 0u);
+  EXPECT_EQ(ds.checkpoint_activity.saved, 1u);
+  EXPECT_EQ(all_csv(ds), batch_csv(true));
+
+  // The WAL-backed run still resumes from its own partial cut, the
+  // newest one on disk.
+  const Dataset resumed = build_streaming_dataset(options, stream);
+  EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
+  EXPECT_EQ(resumed.ingest.epochs_run, 2u);
+  EXPECT_EQ(all_csv(resumed), batch_csv(true));
+}
+
+TEST(Stream, RunWithoutWalReportsBehavioralWorkCounters) {
+  // The full path reports B's work counters for its final epoch: the
+  // one-shot build publishes them, and a 3-epoch full-recluster stream
+  // publishes the same values (its final epoch clusters the same final
+  // database).
+  const auto b_counters = [](const obs::MetricsRegistry& metrics) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto& [name, value] :
+         metrics.counter_values(obs::Channel::kDeterministic)) {
+      if (name == "cluster.b.bucket_pairs" || name == "cluster.b.signatures" ||
+          name == "cluster.b.union_ops") {
+        out.emplace_back(name, value);
+      }
+    }
+    return out;
+  };
+  obs::MetricsRegistry batch_metrics;
+  ScenarioOptions options = small_options(false);
+  options.metrics = &batch_metrics;
+  (void)build_paper_dataset(options);
+  const auto batch = b_counters(batch_metrics);
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_GT(batch[2].second, 0u);  // union_ops
+  EXPECT_EQ(batch_metrics.to_json(obs::Channel::kDeterministic)
+                .find("ingest."),
+            std::string::npos);
+
+  obs::MetricsRegistry stream_metrics;
+  options.metrics = &stream_metrics;
+  const fs::path root = fresh_dir("b-counters");
+  StreamOptions stream = stream_under(root, options);
+  stream.incremental = false;
+  (void)build_streaming_dataset(options, stream);
+  EXPECT_EQ(b_counters(stream_metrics), batch);
+}
+
 // --- Metrics ----------------------------------------------------------------
 
 TEST(Stream, DeterministicMetricsIdenticalAcrossThreadWidths) {
@@ -645,6 +767,30 @@ TEST(Stream, OptionsValidate) {
   stream.wal_dir = "somewhere";
   stream.retry.max_attempts = 0;
   EXPECT_THROW(stream.validate(), ConfigError);
+
+  // An empty wal_dir selects the in-memory record source, which covers
+  // the stream in exactly one epoch.
+  stream = StreamOptions{};
+  stream.epochs = 1;
+  EXPECT_NO_THROW(stream.validate());
+  stream.incremental = false;
+  EXPECT_NO_THROW(stream.validate());
+  stream.epochs = 2;
+  EXPECT_THROW(stream.validate(), ConfigError);
+  stream.epochs = 0;
+  EXPECT_THROW(stream.validate(), ConfigError);
+  stream.epochs = 1;
+  stream.queue_capacity = 0;
+  EXPECT_THROW(stream.validate(), ConfigError);
+  stream = StreamOptions{};
+  stream.epochs = 1;
+  stream.retry.max_attempts = 0;
+  EXPECT_THROW(stream.validate(), ConfigError);
+  // The library, not the CLI, owns the rule: a multi-epoch run without
+  // a WAL is refused before any work.
+  ScenarioOptions options = small_options(false);
+  stream = StreamOptions{};
+  EXPECT_THROW((void)build_streaming_dataset(options, stream), ConfigError);
 }
 
 }  // namespace

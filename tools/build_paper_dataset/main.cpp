@@ -1,9 +1,10 @@
 // CLI driver: builds the paper dataset end-to-end and exports it.
 //
-// One-shot batch build by default; `--epochs N --wal-dir DIR` switches
-// to the durable streaming epoch loop (crash-safe WAL + epoch
-// checkpoints — kill this process at any point and rerun the same
-// command to resume; the exports come out byte-identical either way).
+// Every build runs the epoch loop. By default it is the one-shot batch
+// build: one epoch, no WAL. `--epochs N --wal-dir DIR` makes it the
+// durable streaming loop (crash-safe WAL + epoch checkpoints — kill
+// this process at any point and rerun the same command to resume; the
+// exports come out byte-identical either way).
 //
 //   build_paper_dataset --scale 0.25 --threads 8
 //       --faults paper --checkpoint-dir ckpt --epochs 4 --wal-dir wal
@@ -58,8 +59,8 @@ void usage(std::ostream& os) {
         "  --cluster-backend B    B-clustering backend: lsh, exact, or\n"
         "                         kmeans (default lsh)\n"
         "  --faults none|paper    fault-injection plan (default none)\n"
-        "  --checkpoint-dir DIR   crash-safe stage/epoch snapshots\n"
-        "  --epochs N             streaming mode: epoch batches (with"
+        "  --checkpoint-dir DIR   crash-safe epoch cuts\n"
+        "  --epochs N             epoch batches (more than one needs"
         " --wal-dir)\n"
         "  --wal-dir DIR          streaming mode: WAL segment directory\n"
         "  --full-recluster       streaming mode: full E/P/M/B recompute"
@@ -137,14 +138,12 @@ CliOptions parse_cli(int argc, char** argv) {
       throw repro::ConfigError("unknown option: " + std::string{arg});
     }
   }
+  // StreamOptions::validate() rejects more than one epoch without a WAL.
   cli.streaming = have_epochs || !cli.stream.wal_dir.empty();
-  if (cli.streaming && cli.stream.wal_dir.empty()) {
-    throw repro::ConfigError("--epochs requires --wal-dir");
-  }
-  if (cli.kill_after_records != 0 && !cli.streaming) {
+  if (cli.kill_after_records != 0 && cli.stream.wal_dir.empty()) {
     throw repro::ConfigError("--kill-after-records requires --wal-dir");
   }
-  if (!cli.streaming &&
+  if (cli.stream.wal_dir.empty() &&
       (!cli.stream.incremental || cli.stream.verify_incremental)) {
     throw repro::ConfigError(
         "--full-recluster/--verify-incremental require --wal-dir");
