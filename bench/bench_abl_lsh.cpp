@@ -4,7 +4,9 @@
 // fewer candidate pairs, which is what made Anubis clustering scale.
 //
 // Runs as a google-benchmark binary and prints a quality/equivalence
-// summary before the timing section.
+// summary before the timing section. The summary is a gate: the binary
+// exits non-zero when any LSH assignment differs from the exact one
+// (`--benchmark_filter='^$'` runs the summary alone).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -76,9 +78,11 @@ void BM_LshClustering(benchmark::State& state) {
 BENCHMARK(BM_LshClustering)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)
     ->Arg(5000)->Complexity()->Unit(benchmark::kMillisecond);
 
-/// Equivalence + pruning summary printed before the timings.
-void print_summary() {
+/// Equivalence + pruning summary printed before the timings. Returns
+/// whether every LSH partition equalled the exact one.
+bool print_summary() {
   std::printf("### ABL-2: exact vs LSH behavioral clustering\n");
+  bool identical = true;
   for (const std::size_t n : {500u, 2000u}) {
     const auto corpus = make_corpus(n, 7);
     const auto ptrs = pointers(corpus);
@@ -92,24 +96,31 @@ void print_summary() {
     const auto lsh_run = repro::cluster::cluster_profiles_with_stats(ptrs, lsh);
     const auto& lsh_clusters = lsh_run.clusters;
     const auto& stats = lsh_run.stats;
+    const bool same = exact_clusters.assignment == lsh_clusters.assignment;
+    identical = identical && same;
     std::printf(
         "n=%zu: exact clusters=%zu, lsh clusters=%zu, identical=%s, "
         "pairs evaluated: %zu exact vs %zu lsh (%.1fx fewer)\n",
         n, exact_clusters.cluster_count(), lsh_clusters.cluster_count(),
-        exact_clusters.assignment == lsh_clusters.assignment ? "yes" : "NO",
+        same ? "yes" : "NO",
         stats.exact_pairs, stats.lsh_candidate_pairs,
         static_cast<double>(stats.exact_pairs) /
             static_cast<double>(std::max<std::size_t>(
                 1, stats.lsh_candidate_pairs)));
   }
   std::printf("\n");
+  return identical;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_summary();
+  const bool identical = print_summary();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
+  if (!identical) {
+    std::fprintf(stderr, "ABL-2: an LSH partition differs from exact\n");
+    return 1;
+  }
   return 0;
 }

@@ -93,16 +93,17 @@ void fill_id_sets(const std::vector<const sandbox::BehavioralProfile*>& profiles
   }
 }
 
-/// One MinHash signature pass over every id set, banded into an LSH
-/// index. The bucket-map inserts stay serial so every bucket's item
-/// list is built in ascending index order.
-LshIndex build_lsh_index(const std::vector<std::vector<std::uint64_t>>& ids,
-                         const BehavioralOptions& options) {
-  std::vector<std::vector<std::uint64_t>> scratch;
-  const auto& signatures = detail::minhash_signatures(ids, options, scratch);
+/// Bands MinHash signatures into an LSH index. The bucket-map inserts
+/// stay serial so every bucket's item list is built in ascending index
+/// order. With `reps`, only exact-duplicate representatives
+/// (reps[i] == i) are inserted.
+LshIndex band_signatures(
+    const std::vector<std::vector<std::uint64_t>>& signatures,
+    const BehavioralOptions& options,
+    const std::vector<std::size_t>* reps = nullptr) {
   LshIndex index{options.lsh_bands, options.lsh_rows};
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    index.insert(i, signatures[i]);
+  for (std::size_t i = 0; i < signatures.size(); ++i) {
+    if (reps == nullptr || (*reps)[i] == i) index.insert(i, signatures[i]);
   }
   return index;
 }
@@ -167,16 +168,13 @@ void seed_partition(UnionFind& groups, const std::vector<int>& assignment) {
 void unite_bucket_pairs(UnionFind& groups,
                         const std::vector<std::vector<std::uint64_t>>& ids,
                         const std::vector<std::vector<std::size_t>>& buckets,
-                        const BehavioralOptions& options, std::size_t old_n,
-                        const std::vector<std::size_t>& reps) {
+                        const BehavioralOptions& options, std::size_t old_n) {
   const double threshold = options.threshold;
   ThreadPool* pool = options.pool;
-  // Jaccard is a function of the two id sets alone, so a pair of
-  // duplicate classes scores the same wherever its members co-occur.
-  // Each sweep memoizes failed representative pairs (passing pairs
-  // already short-circuit through the union-find) to evaluate every
-  // class pair at most once instead of once per shared bucket. The
-  // packed key needs both indices to fit 32 bits.
+  // A pair of items can share several distinct buckets. Each sweep
+  // memoizes failed pairs (passing pairs already short-circuit through
+  // the union-find) to evaluate every pair at most once instead of once
+  // per shared bucket. The packed key needs both indices to fit 32 bits.
   const bool memoize = ids.size() < (std::size_t{1} << 32);
   if (options.metrics != nullptr) {
     // Worst-case pair count is a property of the bucket contents, not
@@ -210,9 +208,7 @@ void unite_bucket_pairs(UnionFind& groups,
         if (uf.find(a) == uf.find(b)) continue;
         std::uint64_t key = 0;
         if (failed != nullptr) {
-          const std::uint64_t low = std::min(reps[a], reps[b]);
-          const std::uint64_t high = std::max(reps[a], reps[b]);
-          key = (low << 32) | high;
+          key = (std::uint64_t{a} << 32) | b;
           if (failed->contains(key)) continue;
         }
         ++evaluated;
@@ -279,12 +275,13 @@ void unite_bucket_pairs(UnionFind& groups,
   }
 }
 
-/// Shared core: unions qualifying pairs (from the index's buckets, or
-/// all pairs when exact) and densifies cluster ids in first-member
-/// order.
+/// Shared core: unions qualifying pairs (from LSH buckets over
+/// `signatures`, or all pairs when `signatures` is null) and densifies
+/// cluster ids in first-member order.
 BehavioralClusters cluster_from_ids(
     const std::vector<std::vector<std::uint64_t>>& ids,
-    const BehavioralOptions& options, const LshIndex* index) {
+    const BehavioralOptions& options,
+    const std::vector<std::vector<std::uint64_t>>* signatures) {
   const std::size_t n = ids.size();
   BehavioralClusters result;
   if (n == 0) return result;
@@ -296,19 +293,28 @@ BehavioralClusters cluster_from_ids(
     old_n = options.prior_assignment->size();
     seed_partition(groups, *options.prior_assignment);
   }
-  const std::vector<std::size_t> reps = duplicate_reps(ids);
-  if (options.threshold <= 1.0) {
-    // Duplicates share every band bucket (identical signatures) and
-    // score Jaccard 1.0, so uniting each class up front only adds
-    // edges the pair sweep would add anyway — it just spares the sweep
-    // from discovering them pair by pair.
+  // Duplicates score Jaccard 1.0, so at any threshold <= 1.0 each
+  // duplicate class lies inside one component: unite it up front.
+  const bool collapse = options.threshold <= 1.0;
+  std::vector<std::size_t> reps;
+  if (collapse) {
+    reps = duplicate_reps(ids);
     for (std::size_t i = 0; i < n; ++i) {
       if (reps[i] != i) groups.unite(reps[i], i);
     }
   }
-  if (index != nullptr) {
-    unite_bucket_pairs(groups, ids, index->multi_item_buckets(), options,
-                       old_n, reps);
+  if (signatures != nullptr) {
+    // Only representatives are banded. A duplicate has its
+    // representative's signature, so it shares every bucket with it; it
+    // is already united with it; and Jaccard depends on the id sets
+    // alone, so its pairs score exactly as its representative's do. Its
+    // buckets would add only edges the partition already has. reps[i]
+    // <= i and reps are stable under append, so a prior partition's
+    // prefix still covers every old/old representative pair.
+    const LshIndex index =
+        band_signatures(*signatures, options, collapse ? &reps : nullptr);
+    unite_bucket_pairs(groups, ids, index.multi_item_buckets(), options,
+                       old_n);
   } else {
     std::uint64_t evaluated = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -440,8 +446,10 @@ BehavioralClusters lsh_single_linkage(
   std::vector<std::vector<std::uint64_t>> scratch;
   const auto& ids = detail::profile_id_sets(profiles, options, scratch);
   if (ids.empty()) return {};
-  const LshIndex index = build_lsh_index(ids, options);
-  return cluster_from_ids(ids, options, &index);
+  std::vector<std::vector<std::uint64_t>> signature_scratch;
+  return cluster_from_ids(
+      ids, options,
+      &detail::minhash_signatures(ids, options, signature_scratch));
 }
 
 BehavioralClusters exact_single_linkage(
@@ -461,9 +469,14 @@ PairStats pair_stats(
   stats.exact_pairs = n * (n - 1) / 2;
   std::vector<std::vector<std::uint64_t>> scratch;
   const auto& ids = detail::profile_id_sets(profiles, options, scratch);
-  stats.lsh_candidate_pairs = build_lsh_index(ids, options)
-                                  .candidate_pairs()
-                                  .size();
+  std::vector<std::vector<std::uint64_t>> signature_scratch;
+  // Over every item, duplicates included: the statistic describes what
+  // banding proposes, not what the clustering sweep walks.
+  stats.lsh_candidate_pairs =
+      band_signatures(
+          detail::minhash_signatures(ids, options, signature_scratch), options)
+          .candidate_pairs()
+          .size();
   return stats;
 }
 
@@ -476,11 +489,15 @@ ClusteringRun cluster_profiles_with_stats(
   std::vector<std::vector<std::uint64_t>> scratch;
   const auto& ids = detail::profile_id_sets(profiles, options, scratch);
   if (ids.empty()) return run;
-  // One signature pass feeds both artifacts.
-  const LshIndex index = build_lsh_index(ids, options);
-  run.stats.lsh_candidate_pairs = index.candidate_pairs().size();
+  // One signature pass feeds both artifacts: the statistic bands every
+  // item (as pair_stats does), the clustering only representatives.
+  std::vector<std::vector<std::uint64_t>> signature_scratch;
+  const auto& signatures =
+      detail::minhash_signatures(ids, options, signature_scratch);
+  run.stats.lsh_candidate_pairs =
+      band_signatures(signatures, options).candidate_pairs().size();
   if (options.backend == BackendKind::kLsh) {
-    run.clusters = cluster_from_ids(ids, options, &index);
+    run.clusters = cluster_from_ids(ids, options, &signatures);
   } else if (options.backend == BackendKind::kExact) {
     run.clusters = cluster_from_ids(ids, options, nullptr);
   } else {

@@ -315,10 +315,36 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     dataset.environment = make_paper_environment(dataset.landscape);
   }
 
+  // Incremental clustering engines: durable counting state per EPM
+  // dimension plus the cross-epoch MinHash signature cache. Primed from
+  // the restored cut; verify mode also runs them (its published results
+  // are the incremental ones).
+  cluster::IncrementalEpm inc_e{cluster::Dimension::kEpsilon};
+  cluster::IncrementalEpm inc_p{cluster::Dimension::kPi};
+  cluster::IncrementalEpm inc_m{cluster::Dimension::kMu};
+  cluster::SignatureStore signatures;
+
   // The newest epoch cut, loaded before the event stream is
   // regenerated: decoding a cut is the memory peak of a warm start, and
-  // this way it never overlaps the generated database.
-  std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
+  // this way it never overlaps the generated database. Its opaque blobs
+  // are decoded inside the loader, so a cut whose CRCs hold but whose
+  // blobs do not decode is quarantined and an older cut (or a cold
+  // start) is used instead of failing the run.
+  std::optional<snapshot::EpochStage> restored =
+      store.load_latest_epoch([&](const snapshot::EpochStage& cut) {
+        ingest::IngestReport totals;
+        ingest::decode_stream_totals(cut.ingest_blob, totals);
+        if (!incremental) return;
+        // Empty blobs (a cut written by the full-recompute path) make
+        // the engines recount from the restored rows — same state,
+        // recomputed.
+        inc_e.restore(cut.database.db, cut.epm.e, cut.e_counts);
+        inc_p.restore(cut.database.db, cut.epm.p, cut.p_counts);
+        inc_m.restore(cut.database.db, cut.epm.m, cut.m_counts);
+        signatures = cut.signature_blob.empty()
+                         ? cluster::SignatureStore{}
+                         : cluster::decode_signature_store(cut.signature_blob);
+      });
 
   // Sensor side: regenerate the full event sequence. Generation is
   // deterministic and cheap relative to enrichment + clustering, so a
@@ -381,6 +407,14 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     }
     restored.reset();
   }
+  if (!restored) {
+    // Drop whatever a declined or quarantined cut primed the engines
+    // with: the run starts cold.
+    inc_e = cluster::IncrementalEpm{cluster::Dimension::kEpsilon};
+    inc_p = cluster::IncrementalEpm{cluster::Dimension::kPi};
+    inc_m = cluster::IncrementalEpm{cluster::Dimension::kMu};
+    signatures = cluster::SignatureStore{};
+  }
 
   // The loop's live pipeline state. It doubles as the epoch cut: saving
   // stamps a few scalars on it and writes it out, so checkpointing
@@ -389,30 +423,13 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   honeypot::EventDatabase& db = state.database.db;
   std::uint64_t done = 0;  // records already ingested into `db`
   fault::FaultReport restored_slice;
-  // Incremental clustering engines: durable counting state per EPM
-  // dimension plus the cross-epoch MinHash signature cache. Primed from
-  // the restored cut below; verify mode also runs them (its published
-  // results are the incremental ones).
-  cluster::IncrementalEpm inc_e{cluster::Dimension::kEpsilon};
-  cluster::IncrementalEpm inc_p{cluster::Dimension::kPi};
-  cluster::IncrementalEpm inc_m{cluster::Dimension::kMu};
-  cluster::SignatureStore signatures;
   bool have_results = false;
   if (restored) {
     state = std::move(*restored);
     done = state.wal_records;
     restored_slice = state.database.fault_report;
+    // Already validated by the loader; the engines are primed.
     if (wal) ingest::decode_stream_totals(state.ingest_blob, report);
-    if (incremental) {
-      // Empty blobs (a cut written by the full-recompute path) make the
-      // engines recount from the restored rows — same state, recomputed.
-      inc_e.restore(db, state.epm.e, state.e_counts);
-      inc_p.restore(db, state.epm.p, state.p_counts);
-      inc_m.restore(db, state.epm.m, state.m_counts);
-      if (!state.signature_blob.empty()) {
-        signatures = cluster::decode_signature_store(state.signature_blob);
-      }
-    }
     have_results = true;
     report.epochs_restored = 1;
   }

@@ -342,7 +342,8 @@ void CheckpointStore::save_epoch(const EpochStage& stage) {
   }
 }
 
-std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
+std::optional<EpochStage> CheckpointStore::load_latest_epoch(
+    const std::function<void(const EpochStage&)>& accept) {
   if (!enabled()) return std::nullopt;
   // Collect every "epoch-NNNN.snap" present, newest first.
   std::vector<std::pair<std::uint64_t, std::string>> candidates;
@@ -406,6 +407,7 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
       stage.m_counts = section_blob(decoded.sections, "mu-counts");
       stage.signature_blob = section_blob(decoded.sections, "signatures");
       stage.database.db.check_consistency();
+      if (accept) accept(stage);
       ++activity_.restored;
       return stage;
     } catch (const ParseError&) {

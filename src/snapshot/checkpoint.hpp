@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -172,8 +173,13 @@ class CheckpointStore {
   /// file-sized staging buffer). No-op when disabled.
   void save_epoch(const EpochStage& stage);
   /// Newest valid epoch cut, scanning epoch files in descending index
-  /// order; corrupt/stale files are quarantined and skipped.
-  [[nodiscard]] std::optional<EpochStage> load_latest_epoch();
+  /// order; corrupt/stale files are quarantined and skipped. `accept`,
+  /// when set, decodes a candidate cut's opaque blobs (the loader cannot
+  /// read them itself) inside the same guard as the container checks:
+  /// a cut it throws ParseError or ConfigError on is quarantined like a
+  /// CRC failure and the next older cut is tried.
+  [[nodiscard]] std::optional<EpochStage> load_latest_epoch(
+      const std::function<void(const EpochStage&)>& accept = {});
 
   /// What the store did this run — lets callers (and tests) see whether
   /// a cut was restored, and whether files were thrown out.

@@ -17,7 +17,9 @@
 #include "cluster/pattern.hpp"
 #include "cluster/pehash.hpp"
 #include "honeypot/database.hpp"
+#include "obs/metrics.hpp"
 #include "pe/builder.hpp"
+#include "scenario/paper.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -929,6 +931,107 @@ TEST(Behavioral, ExactDuplicatesMergeOnlyUnderTheThreshold) {
     EXPECT_EQ(split.cluster_count(), profiles.size())
         << "backend=" << static_cast<int>(backend);
   }
+}
+
+/// `m` distinct profiles in four noisy families: each keeps about 90%
+/// of its family's 16 features plus one token of its own, so family
+/// members are similar but never identical.
+std::vector<sandbox::BehavioralProfile> distinct_profiles(std::size_t m,
+                                                          std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<sandbox::BehavioralProfile> profiles;
+  for (std::size_t i = 0; i < m; ++i) {
+    sandbox::BehavioralProfile p;
+    const std::size_t family = rng.index(4);
+    for (int f = 0; f < 16; ++f) {
+      if (rng.chance(0.9)) {
+        p.add("fam" + std::to_string(family) + "|" + std::to_string(f));
+      }
+    }
+    p.add("own" + std::to_string(i));
+    profiles.push_back(std::move(p));
+  }
+  return profiles;
+}
+
+/// `copies` copies of every profile, shuffled: most items are exact
+/// duplicates of an earlier one, the shape of the paper's corpus.
+std::vector<sandbox::BehavioralProfile> with_copies(
+    const std::vector<sandbox::BehavioralProfile>& distinct,
+    std::size_t copies, std::uint64_t seed) {
+  std::vector<sandbox::BehavioralProfile> out;
+  for (std::size_t c = 0; c < copies; ++c) {
+    out.insert(out.end(), distinct.begin(), distinct.end());
+  }
+  Rng rng{seed};
+  rng.shuffle(out);
+  return out;
+}
+
+std::uint64_t lsh_bucket_pairs(
+    const std::vector<sandbox::BehavioralProfile>& profiles) {
+  obs::MetricsRegistry metrics;
+  BehavioralOptions options;
+  options.metrics = &metrics;
+  (void)cluster_profiles(pointers(profiles), options);
+  return metrics.counter("cluster.b.bucket_pairs").value();
+}
+
+TEST(Behavioral, DuplicateCopiesAddNoBucketPairs) {
+  // Only exact-duplicate representatives are banded, so copies of a
+  // profile add no bucket pairs: the sweep walks the deduplicated
+  // corpus whatever the copy count.
+  const auto distinct = distinct_profiles(40, 3);
+  const std::uint64_t deduplicated = lsh_bucket_pairs(distinct);
+  EXPECT_GT(deduplicated, 0u);
+  for (const std::size_t copies : {std::size_t{2}, std::size_t{5}}) {
+    EXPECT_EQ(lsh_bucket_pairs(with_copies(distinct, copies, 9)),
+              deduplicated)
+        << copies << " copies";
+  }
+}
+
+TEST(Behavioral, LshMatchesExactOnHeavilyDuplicatedCorpus) {
+  const auto corpus = with_copies(distinct_profiles(60, 5), 6, 13);
+  const auto ptrs = pointers(corpus);
+  BehavioralOptions exact_options;
+  exact_options.backend = BackendKind::kExact;
+  const BehavioralClusters exact = cluster_profiles(ptrs, exact_options);
+  // Families merged, yet not into one cluster.
+  ASSERT_GT(exact.cluster_count(), 1u);
+  ASSERT_LT(exact.cluster_count(), 60u);
+  const std::vector<const sandbox::BehavioralProfile*> prefix(
+      ptrs.begin(), ptrs.begin() + 200);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{8}}) {
+    ThreadPool pool{width};
+    BehavioralOptions lsh;
+    lsh.pool = &pool;
+    EXPECT_EQ(cluster_profiles(ptrs, lsh).assignment, exact.assignment)
+        << "width " << width;
+    // Seeded with the partition of a prefix, as the epoch loop does.
+    const std::vector<int> prior = cluster_profiles(prefix, lsh).assignment;
+    BehavioralOptions seeded = lsh;
+    seeded.prior_assignment = &prior;
+    EXPECT_EQ(cluster_profiles(ptrs, seeded).assignment, exact.assignment)
+        << "seeded, width " << width;
+  }
+}
+
+TEST(Behavioral, PaperLandscapeBucketPairsStayBelowAllPairs) {
+  // Representative banding walks fewer bucket pairs than the exact
+  // oracle's n(n-1)/2 on the paper landscape; banding every duplicate
+  // walked several times more.
+  obs::MetricsRegistry metrics;
+  scenario::ScenarioOptions options;
+  options.scale = 0.25;
+  options.metrics = &metrics;
+  (void)scenario::build_paper_dataset(options);
+  const std::uint64_t n = metrics.counter("cluster.b.signatures").value();
+  const std::uint64_t pairs = metrics.counter("cluster.b.bucket_pairs").value();
+  ASSERT_GT(n, 1u);
+  EXPECT_GT(pairs, 0u);
+  EXPECT_LE(pairs, n * (n - 1) / 2);
 }
 
 // --------------------------------------------------------- incremental EPM

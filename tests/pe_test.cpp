@@ -203,6 +203,14 @@ struct TypeCase {
   const char* expected;
 };
 
+// Names each case by its expected type; without this the test name
+// would hold the raw pointer bytes, which change from build to build.
+void PrintTo(const TypeCase& c, std::ostream* os) {
+  for (const char* ch = c.expected; *ch != '\0'; ++ch) {
+    *os << (*ch == ' ' ? '_' : *ch);
+  }
+}
+
 class FileTypeSignatures : public ::testing::TestWithParam<TypeCase> {};
 
 TEST_P(FileTypeSignatures, Detects) {

@@ -21,6 +21,7 @@
 #include "snapshot/crc32.hpp"
 #include "util/byteio.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace repro::snapshot {
 namespace {
@@ -205,19 +206,32 @@ TEST(Codec, CorruptedPayloadFailsSafely) {
   // Direct codec fuzz *below* the CRC layer: a flipped byte may decode
   // to different content, but it must never crash and may only ever
   // throw ParseError.
+  // Decoding the multi-MB database dominates, so the trials share a
+  // pool; each chunk mutates its own copy in place and restores the
+  // byte afterwards. Any other exception fails the test through
+  // parallel_for's rethrow.
   ByteWriter writer;
   write_database(writer, dataset().db);
-  std::vector<std::uint8_t> bytes = writer.take();
-  for (std::size_t i = 0; i < bytes.size(); i += 211) {
-    std::vector<std::uint8_t> mutated = bytes;
-    mutated[i] ^= 0x40;
-    ByteReader reader{mutated};
-    try {
-      (void)read_database(reader);
-    } catch (const ParseError&) {
-      // Acceptable: the corruption was detected.
-    }
-  }
+  const std::vector<std::uint8_t> bytes = writer.take();
+  constexpr std::size_t kStep = 211;
+  const std::size_t trials = (bytes.size() + kStep - 1) / kStep;
+  ThreadPool pool;
+  pool.parallel_for(
+      trials, (trials + pool.width() - 1) / pool.width(),
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<std::uint8_t> mutated = bytes;
+        for (std::size_t trial = begin; trial < end; ++trial) {
+          const std::size_t i = trial * kStep;
+          mutated[i] ^= 0x40;
+          ByteReader reader{mutated};
+          try {
+            (void)read_database(reader);
+          } catch (const ParseError&) {
+            // Acceptable: the corruption was detected.
+          }
+          mutated[i] ^= 0x40;
+        }
+      });
 }
 
 // --- Container format -------------------------------------------------------

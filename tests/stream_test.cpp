@@ -604,6 +604,64 @@ TEST(Stream, OlderSnapshotVersionIsQuarantinedOnWarmResume) {
   EXPECT_TRUE(any_quarantined) << "old cuts must be set aside as evidence";
 }
 
+TEST(Stream, MalformedBlobInARestoredCutIsQuarantined) {
+  // A cut whose CRCs hold but whose opaque blob does not decode must be
+  // set aside like a CRC failure: the resume falls back to the older
+  // cut and finishes as a cold run would.
+  ScenarioOptions cold_options = small_options(true);
+  const StreamOptions cold_stream =
+      stream_under(fresh_dir("bad-blob-cold"), cold_options);
+  const Dataset cold = build_streaming_dataset(cold_options, cold_stream);
+  ASSERT_EQ(all_csv(cold), batch_csv(true));
+
+  for (const std::string section : {"ingest", "signatures", "mu-counts"}) {
+    ScenarioOptions options = small_options(true);
+    const fs::path root = fresh_dir("bad-blob-" + section);
+    const StreamOptions stream = stream_under(root, options);
+    options.checkpoint.stop_after_epoch = 2;
+    EXPECT_THROW((void)build_streaming_dataset(options, stream),
+                 snapshot::CheckpointInterrupted);
+    options.checkpoint.stop_after_epoch = 0;
+
+    // Rewrite the newest cut's section to 3 bytes under valid CRCs.
+    const fs::path newest =
+        fs::path{options.checkpoint.directory} / snapshot::epoch_filename(1);
+    std::vector<std::uint8_t> bytes;
+    {
+      std::ifstream in{newest, std::ios::binary};
+      ASSERT_TRUE(in) << newest;
+      bytes.assign(std::istreambuf_iterator<char>{in},
+                   std::istreambuf_iterator<char>{});
+    }
+    snapshot::DecodedSnapshot cut = snapshot::decode_snapshot(bytes);
+    const std::uint8_t junk[] = {1, 2, 3};
+    bool found = false;
+    for (snapshot::SectionView& view : cut.sections) {
+      if (view.name != section) continue;
+      view.payload = junk;
+      found = true;
+    }
+    ASSERT_TRUE(found) << section;
+    const std::vector<std::uint8_t> patched =
+        snapshot::encode_snapshot(cut.fingerprint, cut.sections);
+    {
+      std::ofstream out{newest, std::ios::binary | std::ios::trunc};
+      out.write(reinterpret_cast<const char*>(patched.data()),
+                static_cast<std::streamsize>(patched.size()));
+      ASSERT_TRUE(out.flush()) << newest;
+    }
+
+    const Dataset resumed = build_streaming_dataset(options, stream);
+    EXPECT_EQ(all_csv(resumed), all_csv(cold)) << section;
+    EXPECT_EQ(resumed.checkpoint_activity.quarantined, 1u) << section;
+    EXPECT_EQ(resumed.ingest.epochs_restored, 1u) << section;
+    EXPECT_EQ(resumed.ingest.epochs_run, 2u) << section;
+    EXPECT_EQ(resumed.ingest.records_appended, cold.ingest.records_appended);
+    EXPECT_EQ(resumed.ingest.bytes_appended, cold.ingest.bytes_appended);
+    EXPECT_EQ(resumed.ingest.segments_sealed, cold.ingest.segments_sealed);
+  }
+}
+
 // --- One checkpoint protocol: runs with and without a WAL -------------------
 
 /// The one-shot build as the epoch loop runs it: one epoch, no WAL.

@@ -283,6 +283,10 @@ struct Md5Vector {
   const char* digest;
 };
 
+// Names each case by its digest; without this the test name would hold
+// the raw pointer bytes, which change from build to build.
+void PrintTo(const Md5Vector& v, std::ostream* os) { *os << v.digest; }
+
 class Md5Rfc : public ::testing::TestWithParam<Md5Vector> {};
 
 TEST_P(Md5Rfc, MatchesReferenceDigest) {
@@ -323,6 +327,52 @@ TEST(Md5, IncrementalMatchesOneShot) {
   }
   ASSERT_EQ(offset, data.size());
   EXPECT_EQ(ctx.finish(), Md5::digest(data));
+}
+
+/// Bytes (131 i + 7) mod 256: every byte value, no period of 64.
+std::vector<std::uint8_t> md5_pattern(std::size_t n) {
+  std::vector<std::uint8_t> data(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    data[i] = static_cast<std::uint8_t>((i * 131 + 7) & 0xff);
+  }
+  return data;
+}
+
+// The pinned digests below were cross-checked with coreutils md5sum
+// over the same bytes (the digest-of-digests as md5sum of the
+// concatenated binary digests).
+
+TEST(Md5, LengthSweepCoversEveryPaddingCase) {
+  // Lengths 0..299 put the tail at every offset of a block and need
+  // one or two padding blocks, across four full blocks.
+  std::vector<std::uint8_t> digests;
+  for (std::size_t n = 0; n < 300; ++n) {
+    const Md5Digest d = Md5::digest(md5_pattern(n));
+    digests.insert(digests.end(), d.begin(), d.end());
+  }
+  EXPECT_EQ(Md5::hex_digest(digests), "ba083e8a2084665b60ddd38cc96887ac");
+}
+
+TEST(Md5, EverySplitPointMatchesOneShot) {
+  const std::vector<std::uint8_t> data = md5_pattern(200);
+  const std::span<const std::uint8_t> bytes{data};
+  std::vector<std::uint8_t> digests;
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Md5 ctx;
+    ctx.update(bytes.first(split));
+    ctx.update(bytes.subspan(split));
+    const Md5Digest d = ctx.finish();
+    EXPECT_EQ(d, Md5::digest(data)) << "split at " << split;
+    digests.insert(digests.end(), d.begin(), d.end());
+  }
+  EXPECT_EQ(Md5::hex_digest(digests), "8affb555c4660eb2dcfae8a29fb498b9");
+}
+
+TEST(Md5, OneMillionBytes) {
+  EXPECT_EQ(Md5::hex_digest(std::vector<std::uint8_t>(1'000'000, 'a')),
+            "7707d6ae4e027c70eea2a935c2296f21");
+  EXPECT_EQ(Md5::hex_digest(md5_pattern(1'000'000)),
+            "83faff2a3cfa2ebee58eaa8e170cd7f0");
 }
 
 TEST(Md5, DifferentInputsDifferentDigests) {
