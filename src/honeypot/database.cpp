@@ -1,5 +1,7 @@
 #include "honeypot/database.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 #include "util/md5.hpp"
 
@@ -15,7 +17,15 @@ EventId EventDatabase::add_event(AttackEvent event) {
 SampleId EventDatabase::add_sample(std::vector<std::uint8_t> content,
                                    SimTime seen, bool truncated,
                                    malware::VariantId truth_variant) {
-  const std::string md5 = Md5::hex_digest(content);
+  std::string md5 = Md5::hex_digest(content);
+  return add_sample(std::move(content), std::move(md5), seen, truncated,
+                    truth_variant);
+}
+
+SampleId EventDatabase::add_sample(std::vector<std::uint8_t> content,
+                                   std::string md5, SimTime seen,
+                                   bool truncated,
+                                   malware::VariantId truth_variant) {
   const auto it = md5_index_.find(md5);
   if (it != md5_index_.end()) {
     MalwareSample& existing = samples_[it->second];
@@ -25,13 +35,13 @@ SampleId EventDatabase::add_sample(std::vector<std::uint8_t> content,
   }
   MalwareSample sample;
   sample.id = static_cast<SampleId>(samples_.size());
-  sample.md5 = md5;
+  sample.md5 = std::move(md5);
   sample.content = std::move(content);
   sample.first_seen = seen;
   sample.truncated = truncated;
   sample.event_count = 1;
   sample.truth_variant = truth_variant;
-  md5_index_.emplace(md5, sample.id);
+  md5_index_.emplace(sample.md5, sample.id);
   samples_.push_back(std::move(sample));
   return samples_.back().id;
 }

@@ -25,6 +25,11 @@ class EventDatabase {
   /// time.
   SampleId add_sample(std::vector<std::uint8_t> content, SimTime seen,
                       bool truncated, malware::VariantId truth_variant);
+  /// Same, with the content's MD5 (`Md5::hex_digest(content)`) already
+  /// computed — lets a caller hash binaries off its serial path.
+  SampleId add_sample(std::vector<std::uint8_t> content, std::string md5,
+                      SimTime seen, bool truncated,
+                      malware::VariantId truth_variant);
 
   [[nodiscard]] const std::vector<AttackEvent>& events() const noexcept {
     return events_;

@@ -1,6 +1,9 @@
 #include "honeypot/deployment.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "malware/binary.hpp"
 #include "malware/population.hpp"
@@ -8,7 +11,9 @@
 #include "shellcode/analyzer.hpp"
 #include "shellcode/builder.hpp"
 #include "util/error.hpp"
+#include "util/md5.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace repro::honeypot {
 
@@ -27,6 +32,40 @@ struct PendingAttack {
     return a.attacker < b.attacker;
   }
 };
+
+/// One transfer the serial pass decided to collect. The record fixes
+/// everything about the stored bytes, so building them is a pure
+/// function of it and can run on any thread.
+struct PendingDownload {
+  const malware::MalwareVariant* variant = nullptr;
+  net::Ipv4 attacker;
+  std::uint64_t nonce = 0;
+  std::size_t size = 0;  // malware::binary_size(*variant)
+  std::optional<std::size_t> truncated_to;  // kept prefix of a cut transfer
+  bool corrupted = false;
+  std::size_t event = 0;  // index of the attack's event in its week
+  // Filled by collect().
+  std::vector<std::uint8_t> content;
+  std::string md5;
+};
+
+/// The pool pass for one download: realize the binary, keep the
+/// transferred prefix, apply the injected corruption, hash the result.
+void collect(PendingDownload& download, const fault::FaultInjector* faults) {
+  download.content = malware::realize_binary(*download.variant,
+                                             download.attacker, download.nonce);
+  if (download.content.size() != download.size) {
+    throw ConfigError("Deployment: variant " + download.variant->name +
+                      " realized " + std::to_string(download.content.size()) +
+                      " bytes, binary_size says " +
+                      std::to_string(download.size));
+  }
+  if (download.truncated_to.has_value()) {
+    download.content.resize(*download.truncated_to);
+  }
+  if (download.corrupted) faults->corrupt(download.content, download.nonce);
+  download.md5 = Md5::hex_digest(download.content);
+}
 
 }  // namespace
 
@@ -56,6 +95,8 @@ Deployment::Deployment(const malware::Landscape& landscape,
 EventDatabase Deployment::run() {
   EventDatabase db;
   Rng driver_rng{mix64(config_.seed ^ 0xdeb1'0000'0000'0000ULL)};
+  ThreadPool inline_pool{1};
+  ThreadPool& pool = config_.pool != nullptr ? *config_.pool : inline_pool;
 
   // Realize every variant's infected population once, deterministically.
   std::vector<std::vector<net::Ipv4>> populations;
@@ -67,6 +108,8 @@ EventDatabase Deployment::run() {
   }
 
   std::uint64_t nonce = 0;
+  std::vector<AttackEvent> week_events;
+  std::vector<PendingDownload> downloads;
   for (int week = 0; week < landscape_->weeks; ++week) {
     // Schedule this week's attacks across all variants, then process
     // them in chronological order (the gateway's model maturity depends
@@ -106,6 +149,9 @@ EventDatabase Deployment::run() {
     }
     std::sort(pending.begin(), pending.end());
 
+    // Phase 1, serial: every draw of the shared stream, in attack order.
+    week_events.clear();
+    downloads.clear();
     for (const PendingAttack& attack : pending) {
       // Sensor outage: the honeypot records nothing — no event, no FSM
       // learning, no sample. Skipped before any shared RNG draw so an
@@ -178,30 +224,55 @@ EventDatabase Deployment::run() {
             shellcode::classify_interaction(*analyzed, attack.attacker));
         event.pi = pi;
 
-        // 4. Download emulation: fetch the malware binary. Injected
-        // faults extend the truncation model: a refused connection
-        // collects nothing, bit corruption damages the stored image.
+        // 4. Download emulation: decide how the binary's transfer goes
+        // (its bytes are built in phase 2). Injected faults extend the
+        // truncation model: a refused connection collects nothing, bit
+        // corruption damages the stored image.
         const fault::DownloadFault download_fault =
             config_.faults != nullptr ? config_.faults->download_fault(nonce)
                                       : fault::DownloadFault::kNone;
         if (download_fault == fault::DownloadFault::kRefused) {
           event.download_refused = true;
         } else {
-          DownloadResult download = emulate_download(
-              malware::realize_binary(variant, attack.attacker, nonce),
-              config_.download, driver_rng);
-          if (download_fault == fault::DownloadFault::kCorrupted) {
-            config_.faults->corrupt(download.content, nonce);
-          }
-          event.sample = db.add_sample(std::move(download.content),
-                                       attack.time, download.truncated,
-                                       variant.id);
-          if (download_fault == fault::DownloadFault::kCorrupted) {
-            db.sample_mutable(*event.sample).corrupted = true;
-          }
+          PendingDownload& download = downloads.emplace_back();
+          download.variant = &variant;
+          download.attacker = attack.attacker;
+          download.nonce = nonce;
+          download.size = malware::binary_size(variant);
+          download.truncated_to =
+              draw_truncation(download.size, config_.download, driver_rng);
+          download.corrupted =
+              download_fault == fault::DownloadFault::kCorrupted;
+          download.event = week_events.size();
         }
       }
       ++nonce;
+      week_events.push_back(std::move(event));
+    }
+
+    // Phase 2, on the pool: build, cut, corrupt and hash the binaries.
+    pool.parallel_for(downloads.size(), 1,
+                      [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i) {
+                          collect(downloads[i], config_.faults);
+                        }
+                      });
+
+    // Phase 3, serial: store samples and events in attack order, so ids,
+    // first_seen and event counts are those of a fully serial run.
+    auto download = downloads.begin();
+    for (std::size_t i = 0; i < week_events.size(); ++i) {
+      AttackEvent& event = week_events[i];
+      if (download != downloads.end() && download->event == i) {
+        event.sample = db.add_sample(
+            std::move(download->content), std::move(download->md5),
+            event.time, download->truncated_to.has_value(),
+            event.truth_variant);
+        if (download->corrupted) {
+          db.sample_mutable(*event.sample).corrupted = true;
+        }
+        ++download;
+      }
       db.add_event(std::move(event));
     }
   }

@@ -7,6 +7,14 @@
 // sample-factory proxying, shellcode extraction and analysis, download
 // emulation — and lands in the event database exactly as the sensors
 // would record it.
+//
+// Each simulated week runs in three phases: a serial pass makes every
+// draw of the shared RNG stream in attack order (a download's
+// truncation draw needs only the binary's size, which polymorphism
+// never changes); a pool pass builds, cuts, corrupts and hashes the
+// week's downloaded binaries, each a pure function of its own record;
+// a serial commit stores samples and events in attack order. The
+// dataset is therefore the same at every pool width.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +26,10 @@
 #include "honeypot/gateway.hpp"
 #include "malware/landscape.hpp"
 #include "net/ipv4.hpp"
+
+namespace repro {
+class ThreadPool;
+}  // namespace repro
 
 namespace repro::honeypot {
 
@@ -34,6 +46,10 @@ struct DeploymentConfig {
   /// nullptr injector and an injector with an empty plan produce
   /// bit-identical datasets. Not owned; must outlive the deployment.
   fault::FaultInjector* faults = nullptr;
+  /// Optional pool that realizes, cuts and hashes each simulated week's
+  /// downloaded binaries; the dataset is identical at every width, and
+  /// nullptr runs that work inline. Not owned; must outlive run().
+  ThreadPool* pool = nullptr;
 };
 
 class Deployment {

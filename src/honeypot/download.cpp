@@ -1,24 +1,18 @@
 #include "honeypot/download.hpp"
 
-#include <algorithm>
-
 namespace repro::honeypot {
 
-DownloadResult emulate_download(std::vector<std::uint8_t> binary,
-                                const DownloadOptions& options, Rng& rng) {
-  DownloadResult result;
+std::optional<std::size_t> draw_truncation(std::size_t size,
+                                           const DownloadOptions& options,
+                                           Rng& rng) {
   // A binary no larger than the minimum kept prefix cannot be cut
   // short: truncation would either keep every byte (a full transfer
   // mislabeled `truncated`) or keep more bytes than exist.
-  if (binary.size() > options.min_kept_bytes &&
+  if (size > options.min_kept_bytes &&
       rng.chance(options.truncation_probability)) {
-    const std::size_t keep =
-        options.min_kept_bytes + rng.index(binary.size() - options.min_kept_bytes);
-    binary.resize(keep);
-    result.truncated = true;
+    return options.min_kept_bytes + rng.index(size - options.min_kept_bytes);
   }
-  result.content = std::move(binary);
-  return result;
+  return std::nullopt;
 }
 
 }  // namespace repro::honeypot

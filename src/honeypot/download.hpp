@@ -9,17 +9,12 @@
 // transfer stops early and only a prefix of the binary is stored.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
+#include <optional>
 
 #include "util/rng.hpp"
 
 namespace repro::honeypot {
-
-struct DownloadResult {
-  std::vector<std::uint8_t> content;
-  bool truncated = false;
-};
 
 struct DownloadOptions {
   /// Probability that a transfer fails mid-way.
@@ -30,9 +25,11 @@ struct DownloadOptions {
   std::size_t min_kept_bytes = 256;
 };
 
-/// Emulates fetching `binary`; may truncate it per the failure model.
-[[nodiscard]] DownloadResult emulate_download(
-    std::vector<std::uint8_t> binary, const DownloadOptions& options,
-    Rng& rng);
+/// Draws whether fetching a binary of `size` bytes is cut short, per the
+/// failure model: the length of the prefix kept, or nullopt when the
+/// transfer completes. Needs only the size, so the draw can be made
+/// before (and apart from) building the bytes.
+[[nodiscard]] std::optional<std::size_t> draw_truncation(
+    std::size_t size, const DownloadOptions& options, Rng& rng);
 
 }  // namespace repro::honeypot

@@ -108,9 +108,21 @@ ImportBlob build_imports(const std::vector<ImportSpec>& imports,
   return blob;
 }
 
-}  // namespace
+/// Size of the tables build_imports serializes, without building them.
+std::uint32_t import_tables_size(const std::vector<ImportSpec>& imports) {
+  if (imports.empty()) return 0;
+  auto size = static_cast<std::uint32_t>((imports.size() + 1) * 20);
+  for (const ImportSpec& spec : imports) {
+    size += static_cast<std::uint32_t>((spec.symbols.size() + 1) * 4 * 2);
+    for (const auto& symbol : spec.symbols) {
+      size += align_up(2 + static_cast<std::uint32_t>(symbol.size()) + 1, 2);
+    }
+    size += align_up(static_cast<std::uint32_t>(spec.dll.size()) + 1, 2);
+  }
+  return size;
+}
 
-std::vector<std::uint8_t> build_pe(const PeTemplate& tmpl) {
+void validate(const PeTemplate& tmpl) {
   if (tmpl.sections.empty()) {
     throw ConfigError("build_pe: template needs at least one section");
   }
@@ -123,12 +135,21 @@ std::vector<std::uint8_t> build_pe(const PeTemplate& tmpl) {
         "build_pe: exactly one section must hold imports when imports are "
         "declared");
   }
+}
 
+/// File offset of the first section's raw data.
+std::uint32_t headers_size_for(std::uint32_t nsections) {
+  return align_up(kPeHeaderOffset + 4 + kCoffHeaderSize + kOptionalHeaderSize +
+                      nsections * kSectionHeaderSize,
+                  kFileAlignment);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> build_pe(const PeTemplate& tmpl) {
+  validate(tmpl);
   const auto nsections = static_cast<std::uint32_t>(tmpl.sections.size());
-  const std::uint32_t headers_size = align_up(
-      kPeHeaderOffset + 4 + kCoffHeaderSize + kOptionalHeaderSize +
-          nsections * kSectionHeaderSize,
-      kFileAlignment);
+  const std::uint32_t headers_size = headers_size_for(nsections);
 
   // Lay out sections: virtual addresses are section-aligned and raw data
   // is file-aligned, both assigned consecutively.
@@ -305,9 +326,15 @@ std::vector<std::uint8_t> build_pe(const PeTemplate& tmpl) {
 }
 
 std::uint32_t natural_size(const PeTemplate& tmpl) {
-  PeTemplate unpadded = tmpl;
-  unpadded.target_file_size.reset();
-  return static_cast<std::uint32_t>(build_pe(unpadded).size());
+  validate(tmpl);
+  std::uint32_t size =
+      headers_size_for(static_cast<std::uint32_t>(tmpl.sections.size()));
+  for (const SectionSpec& section : tmpl.sections) {
+    std::uint32_t raw = static_cast<std::uint32_t>(section.content.size());
+    if (section.holds_imports) raw += import_tables_size(tmpl.imports);
+    size += align_up(raw, kFileAlignment);
+  }
+  return size;
 }
 
 }  // namespace repro::pe

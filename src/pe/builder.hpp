@@ -19,6 +19,7 @@ namespace repro::pe {
 
 /// Size in bytes that build_pe would produce for the template with
 /// target_file_size cleared — useful for choosing reachable targets.
+/// Computed from the layout alone; no image is built.
 [[nodiscard]] std::uint32_t natural_size(const PeTemplate& tmpl);
 
 }  // namespace repro::pe

@@ -363,9 +363,10 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   {
     const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
                                           pipeline_span.id()};
-    honeypot::Deployment deployment{dataset.landscape,
-                                    make_paper_deployment_config(options,
-                                                                 faults)};
+    honeypot::DeploymentConfig config =
+        make_paper_deployment_config(options, faults);
+    config.pool = &pool;
+    honeypot::Deployment deployment{dataset.landscape, config};
     gen_db = deployment.run();
   }
   const fault::FaultReport baseline = injector.report();

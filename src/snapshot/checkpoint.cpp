@@ -32,9 +32,22 @@ constexpr std::uint8_t kEpochCutKind = 5;
                 std::strerror(errno));
 }
 
+/// A section's payload as consecutive ranges.
+std::span<const std::span<const std::uint8_t>> payload_pieces(
+    const SectionView& section) {
+  if (!section.pieces.empty()) return section.pieces;
+  return {&section.payload, 1};
+}
+
+std::uint64_t payload_size(const SectionView& section) {
+  std::uint64_t size = 0;
+  for (const auto piece : payload_pieces(section)) size += piece.size();
+  return size;
+}
+
 /// Emits the container for `sections` through `put` in file order; the
-/// trailer CRC is computed incrementally over everything before it, so
-/// no contiguous copy of the file ever exists.
+/// section and trailer CRCs are computed incrementally, so no
+/// contiguous copy of the file ever exists.
 template <typename Put>
 void emit_snapshot(std::uint64_t fingerprint,
                    std::span<const SectionView> sections, Put&& put) {
@@ -54,11 +67,15 @@ void emit_snapshot(std::uint64_t fingerprint,
     ByteWriter head;
     head.u32(static_cast<std::uint32_t>(section.name.size()));
     head.text(section.name);
-    head.u64(section.payload.size());
+    head.u64(payload_size(section));
     emit(head.data());
-    emit(section.payload);
+    std::uint32_t payload_crc = 0;
+    for (const auto piece : payload_pieces(section)) {
+      payload_crc = crc32(piece, payload_crc);
+      emit(piece);
+    }
     ByteWriter tail;
-    tail.u32(crc32(section.payload));
+    tail.u32(payload_crc);
     emit(tail.data());
   }
   ByteWriter trailer;
@@ -71,7 +88,7 @@ void emit_snapshot(std::uint64_t fingerprint,
 std::uint64_t snapshot_size(std::span<const SectionView> sections) {
   std::uint64_t size = 4 + 4 + 1 + 8 + 4 + 4 + 4;  // header + trailer
   for (const SectionView& section : sections) {
-    size += 4 + section.name.size() + 8 + section.payload.size() + 4;
+    size += 4 + section.name.size() + 8 + payload_size(section) + 4;
   }
   return size;
 }
@@ -298,8 +315,12 @@ void CheckpointStore::save_epoch(const EpochStage& stage) {
   meta_writer.u64(stage.epoch);
   meta_writer.u64(stage.wal_records);
   meta_writer.u8(static_cast<std::uint8_t>(stage.b_backend));
-  ByteWriter db_writer;
-  write_database(db_writer, stage.database.db);
+  // The database is nearly the whole cut, and nearly all of it is
+  // sample contents: those stream from the samples themselves, so the
+  // cut never holds a second copy of them.
+  ByteWriter db_fields;
+  const std::vector<std::span<const std::uint8_t>> db_pieces =
+      database_pieces(db_fields, stage.database.db);
   ByteWriter stats_writer;
   write_enrichment_stats(stats_writer, stage.database.enrichment);
   ByteWriter fault_writer;
@@ -314,7 +335,7 @@ void CheckpointStore::save_epoch(const EpochStage& stage) {
   write_behavioral_view(b_writer, stage.behavioral);
   const SectionView sections[] = {
       {"epoch-meta", meta_writer.data()},
-      {"database", db_writer.data()},
+      {"database", {}, db_pieces},
       {"enrichment", stats_writer.data()},
       {"fault-report", fault_writer.data()},
       {"epsilon", e_writer.data()},

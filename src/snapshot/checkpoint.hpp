@@ -64,6 +64,10 @@ inline constexpr std::uint32_t kSnapshotVersion = 5;
 struct SectionView {
   std::string_view name;
   std::span<const std::uint8_t> payload;
+  /// When non-empty, the payload is these ranges in order and `payload`
+  /// is ignored: a section gathered from many owners is written without
+  /// first being copied into one buffer. Decoding never sets it.
+  std::span<const std::span<const std::uint8_t>> pieces = {};
 };
 
 /// Serializes sections into the container format described above —

@@ -74,11 +74,6 @@ std::vector<std::string> get_string_vector(ByteReader& reader) {
   return values;
 }
 
-void put_bytes(ByteWriter& writer, const std::vector<std::uint8_t>& bytes) {
-  writer.u64(bytes.size());
-  writer.bytes(bytes);
-}
-
 std::vector<std::uint8_t> get_bytes(ByteReader& reader) {
   return reader.bytes(get_count(reader));
 }
@@ -144,10 +139,17 @@ honeypot::AttackEvent get_event(ByteReader& reader) {
   return event;
 }
 
-void put_sample(ByteWriter& writer, const honeypot::MalwareSample& sample) {
+/// A sample's fields up to and including its content length.
+void put_sample_head(ByteWriter& writer,
+                     const honeypot::MalwareSample& sample) {
   writer.u32(sample.id);
   put_string(writer, sample.md5);
-  put_bytes(writer, sample.content);
+  writer.u64(sample.content.size());
+}
+
+/// A sample's fields after its content bytes.
+void put_sample_tail(ByteWriter& writer,
+                     const honeypot::MalwareSample& sample) {
   put_i64(writer, sample.first_seen.seconds);
   writer.u8(sample.truncated ? 1 : 0);
   writer.u8(sample.corrupted ? 1 : 0);
@@ -312,15 +314,38 @@ struct BehavioralViewAccess {
 
 // --- Public entry points ----------------------------------------------------
 
-void write_database(ByteWriter& writer, const honeypot::EventDatabase& db) {
-  writer.u64(db.events().size());
+std::vector<std::span<const std::uint8_t>> database_pieces(
+    ByteWriter& fields, const honeypot::EventDatabase& db) {
+  // Offsets in `fields` where each sample's content belongs; spans into
+  // `fields` are taken only once it has stopped growing.
+  std::vector<std::size_t> splices;
+  splices.reserve(db.samples().size());
+  fields.u64(db.events().size());
   for (const honeypot::AttackEvent& event : db.events()) {
-    put_event(writer, event);
+    put_event(fields, event);
   }
-  writer.u64(db.samples().size());
+  fields.u64(db.samples().size());
   for (const honeypot::MalwareSample& sample : db.samples()) {
-    put_sample(writer, sample);
+    put_sample_head(fields, sample);
+    splices.push_back(fields.size());
+    put_sample_tail(fields, sample);
   }
+  const std::span<const std::uint8_t> encoded{fields.data()};
+  std::vector<std::span<const std::uint8_t>> pieces;
+  pieces.reserve(2 * splices.size() + 1);
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < splices.size(); ++i) {
+    pieces.push_back(encoded.subspan(begin, splices[i] - begin));
+    pieces.push_back(db.samples()[i].content);
+    begin = splices[i];
+  }
+  pieces.push_back(encoded.subspan(begin));
+  return pieces;
+}
+
+void write_database(ByteWriter& writer, const honeypot::EventDatabase& db) {
+  ByteWriter fields;
+  for (const auto piece : database_pieces(fields, db)) writer.bytes(piece);
 }
 
 honeypot::EventDatabase read_database(ByteReader& reader) {

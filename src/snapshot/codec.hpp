@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "analysis/bview.hpp"
 #include "cluster/epm.hpp"
@@ -28,6 +30,13 @@ namespace repro::snapshot {
 
 void write_database(ByteWriter& writer, const honeypot::EventDatabase& db);
 [[nodiscard]] honeypot::EventDatabase read_database(ByteReader& reader);
+/// The database's encoding as consecutive ranges, so it can be written
+/// out without assembling a copy of it (write_database appends them):
+/// every field is encoded into `fields`, and each sample's content is
+/// referenced where it lies. The ranges borrow `fields` and `db`;
+/// neither may change while they are in use.
+[[nodiscard]] std::vector<std::span<const std::uint8_t>> database_pieces(
+    ByteWriter& fields, const honeypot::EventDatabase& db);
 
 void write_enrichment_stats(ByteWriter& writer,
                             const honeypot::EnrichmentStats& stats);

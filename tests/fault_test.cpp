@@ -512,20 +512,16 @@ TEST(FaultDownload, TinyBinariesAreNeverTruncated) {
   Rng rng{3};
   for (const std::size_t size : {std::size_t{1}, std::size_t{64},
                                  std::size_t{255}, std::size_t{256}}) {
-    const std::vector<std::uint8_t> binary(size, 0xAB);
-    const honeypot::DownloadResult result =
-        honeypot::emulate_download(binary, options, rng);
-    EXPECT_FALSE(result.truncated) << "size " << size;
-    EXPECT_EQ(result.content, binary) << "size " << size;
+    EXPECT_FALSE(honeypot::draw_truncation(size, options, rng).has_value())
+        << "size " << size;
   }
   // One byte above the floor, truncation is possible again and keeps at
   // least min_kept_bytes.
-  const std::vector<std::uint8_t> big(257, 0xAB);
-  const honeypot::DownloadResult result =
-      honeypot::emulate_download(big, options, rng);
-  EXPECT_TRUE(result.truncated);
-  EXPECT_GE(result.content.size(), options.min_kept_bytes);
-  EXPECT_LT(result.content.size(), big.size());
+  const std::optional<std::size_t> kept =
+      honeypot::draw_truncation(257, options, rng);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_GE(*kept, options.min_kept_bytes);
+  EXPECT_LT(*kept, 257u);
 }
 
 // ------------------------------------------------------------ chaos sweep

@@ -3,8 +3,11 @@
 // enrichment pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 
+#include "fault/injector.hpp"
 #include "honeypot/avlabels.hpp"
 #include "honeypot/database.hpp"
 #include "honeypot/deployment.hpp"
@@ -15,6 +18,7 @@
 #include "shellcode/builder.hpp"
 #include "util/error.hpp"
 #include "util/md5.hpp"
+#include "util/thread_pool.hpp"
 
 namespace repro::honeypot {
 namespace {
@@ -177,11 +181,8 @@ TEST(Download, NeverTruncatesAtZeroProbability) {
   Rng rng{3};
   DownloadOptions options;
   options.truncation_probability = 0.0;
-  const std::vector<std::uint8_t> binary(5000, 1);
   for (int i = 0; i < 20; ++i) {
-    const auto result = emulate_download(binary, options, rng);
-    EXPECT_FALSE(result.truncated);
-    EXPECT_EQ(result.content.size(), binary.size());
+    EXPECT_FALSE(draw_truncation(5000, options, rng).has_value());
   }
 }
 
@@ -190,15 +191,11 @@ TEST(Download, AlwaysTruncatesAtOne) {
   DownloadOptions options;
   options.truncation_probability = 1.0;
   options.min_kept_bytes = 256;
-  const std::vector<std::uint8_t> binary(5000, 1);
   for (int i = 0; i < 50; ++i) {
-    const auto result = emulate_download(binary, options, rng);
-    EXPECT_TRUE(result.truncated);
-    EXPECT_LT(result.content.size(), binary.size());
-    EXPECT_GE(result.content.size(), 256u);
-    // Content is a strict prefix.
-    EXPECT_TRUE(std::equal(result.content.begin(), result.content.end(),
-                           binary.begin()));
+    const std::optional<std::size_t> kept = draw_truncation(5000, options, rng);
+    ASSERT_TRUE(kept.has_value());
+    EXPECT_LT(*kept, 5000u);
+    EXPECT_GE(*kept, 256u);
   }
 }
 
@@ -206,13 +203,50 @@ TEST(Download, RateApproximatesProbability) {
   Rng rng{5};
   DownloadOptions options;
   options.truncation_probability = 0.25;
-  const std::vector<std::uint8_t> binary(2000, 1);
   int truncated = 0;
   const int trials = 4000;
   for (int i = 0; i < trials; ++i) {
-    truncated += emulate_download(binary, options, rng).truncated ? 1 : 0;
+    truncated += draw_truncation(2000, options, rng).has_value() ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(truncated) / trials, 0.25, 0.03);
+}
+
+// The kept lengths and the stream position after twelve draws, pinned
+// from the download emulation that built and cut the bytes itself: the
+// size-only draw must consume the shared stream exactly as it did,
+// including the guard that never draws for a binary at or below the
+// kept-prefix floor. -1 marks a complete transfer.
+TEST(Download, DrawMatchesPinnedEmulation) {
+  DownloadOptions options;
+  options.truncation_probability = 0.5;
+  options.min_kept_bytes = 256;
+  struct Case {
+    std::size_t size;
+    std::vector<long> kept;
+    std::uint64_t next;
+  };
+  const Case cases[] = {
+      {255, {-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1},
+       12276367685406418331ULL},
+      {256, {-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1},
+       12276367685406418331ULL},
+      {257, {-1, -1, 256, 256, -1, -1, 256, -1, 256, 256, 256, -1},
+       5936625270274917766ULL},
+      {22528,
+       {-1, -1, 17972, 1206, -1, -1, 17471, -1, 14035, 18089, 10380, -1},
+       5936625270274917766ULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng{2008};
+    std::vector<long> kept;
+    for (int i = 0; i < 12; ++i) {
+      const std::optional<std::size_t> cut =
+          draw_truncation(c.size, options, rng);
+      kept.push_back(cut.has_value() ? static_cast<long>(*cut) : -1);
+    }
+    EXPECT_EQ(kept, c.kept) << "size " << c.size;
+    EXPECT_EQ(rng.next(), c.next) << "size " << c.size;
+  }
 }
 
 // -------------------------------------------------------------- deployment
@@ -364,6 +398,81 @@ TEST(Deployment, RejectsBadConfig) {
   DeploymentConfig config;
   config.location_count = 0;
   EXPECT_THROW((Deployment{landscape, config}), ConfigError);
+}
+
+// The pool pass builds, cuts, corrupts and hashes each week's downloads
+// on whatever thread claims them; the database must not notice. The
+// plan refuses and corrupts downloads so every collection outcome runs
+// through the pool.
+TEST(Deployment, PoolWidthLeavesDatabaseIdentical) {
+  const auto landscape = tiny_landscape();
+  fault::FaultPlan plan;
+  plan.seed = 77;
+  plan.download_refused_probability = 0.1;
+  plan.download_corruption_probability = 0.15;
+  const auto run = [&](ThreadPool* pool) {
+    fault::FaultInjector faults{plan};
+    DeploymentConfig config;
+    config.seed = 16;
+    config.download.truncation_probability = 0.3;
+    config.faults = &faults;
+    config.pool = pool;
+    return Deployment{landscape, config}.run();
+  };
+  const EventDatabase reference = run(nullptr);
+  const EventDatabase::PresenceSummary summary = reference.presence_summary();
+  ASSERT_GT(summary.refused_downloads, 0u);
+  ASSERT_GT(summary.truncated_samples, 0u);
+  ASSERT_GT(summary.corrupted_samples, 0u);
+  // Variant 1 is not polymorphic: each truncated, uncorrupted copy of it
+  // is a strict prefix of its one binary.
+  const std::vector<std::uint8_t> stable =
+      malware::realize_binary(landscape.variants[1], net::Ipv4{}, 0);
+  std::size_t prefixes = 0;
+  for (const MalwareSample& sample : reference.samples()) {
+    if (sample.truth_variant != 1 || !sample.truncated || sample.corrupted) {
+      continue;
+    }
+    EXPECT_LT(sample.content.size(), stable.size());
+    EXPECT_TRUE(std::equal(sample.content.begin(), sample.content.end(),
+                           stable.begin()));
+    ++prefixes;
+  }
+  EXPECT_GT(prefixes, 0u);
+
+  for (const std::size_t width : {1u, 2u, 8u}) {
+    ThreadPool pool{width};
+    const EventDatabase db = run(&pool);
+    ASSERT_EQ(db.events().size(), reference.events().size()) << width;
+    for (std::size_t i = 0; i < db.events().size(); ++i) {
+      const AttackEvent& a = db.events()[i];
+      const AttackEvent& b = reference.events()[i];
+      EXPECT_EQ(a.time, b.time) << width << " event " << i;
+      EXPECT_EQ(a.attacker, b.attacker) << width << " event " << i;
+      EXPECT_EQ(a.honeypot, b.honeypot) << width << " event " << i;
+      EXPECT_EQ(a.epsilon.fsm_path, b.epsilon.fsm_path) << width;
+      EXPECT_EQ(a.pi.has_value(), b.pi.has_value()) << width;
+      EXPECT_EQ(a.gamma.has_value(), b.gamma.has_value()) << width;
+      EXPECT_EQ(a.sample, b.sample) << width << " event " << i;
+      EXPECT_EQ(a.download_refused, b.download_refused) << width;
+      EXPECT_EQ(a.refinement_failed, b.refinement_failed) << width;
+      EXPECT_EQ(a.truth_variant, b.truth_variant) << width;
+    }
+    ASSERT_EQ(db.samples().size(), reference.samples().size()) << width;
+    for (std::size_t i = 0; i < db.samples().size(); ++i) {
+      const MalwareSample& a = db.samples()[i];
+      const MalwareSample& b = reference.samples()[i];
+      EXPECT_EQ(a.md5, b.md5) << width << " sample " << i;
+      EXPECT_EQ(a.md5, Md5::hex_digest(a.content)) << width << " sample " << i;
+      EXPECT_EQ(a.content, b.content) << width << " sample " << i;
+      EXPECT_EQ(a.truncated, b.truncated) << width << " sample " << i;
+      EXPECT_EQ(a.corrupted, b.corrupted) << width << " sample " << i;
+      EXPECT_EQ(a.first_seen, b.first_seen) << width << " sample " << i;
+      EXPECT_EQ(a.event_count, b.event_count) << width << " sample " << i;
+      EXPECT_EQ(a.truth_variant, b.truth_variant) << width;
+    }
+    db.check_consistency();
+  }
 }
 
 // -------------------------------------------------------------- enrichment

@@ -12,6 +12,7 @@
 #include "analysis/evolution.hpp"
 #include "analysis/graph.hpp"
 #include "analysis/healing.hpp"
+#include "fault/plan.hpp"
 #include "io/csv_export.hpp"
 #include "io/csv_import.hpp"
 #include "obs/metrics.hpp"
@@ -273,6 +274,40 @@ TEST(Determinism, MetricsIdenticalAcrossThreadWidths) {
   options.trace = nullptr;
   EXPECT_EQ(all_exports(scenario::build_paper_dataset(options)),
             exports_baseline);
+}
+
+TEST(Determinism, FaultedExportsIdenticalAcrossThreadWidths) {
+  // The same promise under the paper fault plan: refused and corrupted
+  // downloads, sensor outages and proxy failures take their serial-pass
+  // decisions, while the corrupted and truncated binaries are built and
+  // hashed on the pool.
+  scenario::ScenarioOptions options;
+  options.scale = 0.08;
+  options.seed = 43;
+  options.faults = fault::FaultPlan::paper_calibrated();
+
+  std::string metrics_baseline;
+  std::string exports_baseline;
+  for (const std::size_t width :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    obs::MetricsRegistry metrics;
+    options.threads = width;
+    options.metrics = &metrics;
+    const scenario::Dataset dataset = scenario::build_paper_dataset(options);
+    const std::string json = metrics.to_json(obs::Channel::kDeterministic);
+    if (width == 1) {
+      const honeypot::EventDatabase::PresenceSummary summary =
+          dataset.db.presence_summary();
+      ASSERT_GT(summary.refused_downloads, 0u);
+      ASSERT_GT(summary.corrupted_samples, 0u);
+      ASSERT_GT(summary.truncated_samples, 0u);
+      metrics_baseline = json;
+      exports_baseline = all_exports(dataset);
+    } else {
+      EXPECT_EQ(json, metrics_baseline) << "width " << width;
+      EXPECT_EQ(all_exports(dataset), exports_baseline) << "width " << width;
+    }
+  }
 }
 
 TEST_F(Pipeline, EventTimesInsideObservationWindow) {

@@ -261,6 +261,17 @@ TEST(Container, RoundTripPreservesSections) {
   EXPECT_EQ(payload(2), kGamma);
 }
 
+TEST(Container, PiecesEncodeLikeTheContiguousPayload) {
+  // A payload given as ranges (one of them empty) writes the same file,
+  // section CRC included, as the same bytes given in one span.
+  const std::span<const std::uint8_t> alpha{kAlpha};
+  const std::span<const std::uint8_t> parts[] = {
+      alpha.first(2), alpha.subspan(2, 0), alpha.subspan(2)};
+  std::vector<SectionView> sections = sample_sections();
+  sections[0] = SectionView{"alpha", {}, parts};
+  EXPECT_EQ(encode_snapshot(9, sections), encode_snapshot(9, sample_sections()));
+}
+
 TEST(Container, EveryTruncationIsRejected) {
   const std::vector<std::uint8_t> bytes =
       encode_snapshot(42, sample_sections());
